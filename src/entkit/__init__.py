@@ -6,6 +6,10 @@ any observable without residual entanglement), and profiles the entanglement
 that must build up along any continuous path reaching a swap coupling.
 """
 
+# The single version string: pyproject reads it, and reports embed it. It
+# is bumped whenever reports for a given seed can change.
+__version__ = "0.2.0"
+
 from .bipartite import (
     BipartiteSpace,
     DensityOperator,
@@ -71,5 +75,3 @@ from .measurement import (
     swap_scheme,
     validate_povm,
 )
-
-__version__ = "0.1.0"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NormalizationError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, frobenius
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,6 @@ class DensityOperator:
     def from_pure(vec: np.ndarray) -> "DensityOperator":
         v = as_vector(vec)
         return DensityOperator(v.size, np.outer(v, v.conj()))
-
-
-def check_density(rho: DensityOperator, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Raise if rho violates Hermiticity, unit trace or positivity within tol."""
-    m = rho.mat
-    if frobenius(m - m.conj().T) > tol.eps:
-        raise ValueError("density operator is not Hermitian within tolerance")
-    if abs(float(np.trace(m).real) - 1.0) > max(tol.eps, 1e-9):
-        raise ValueError(f"density operator trace {np.trace(m)} != 1")
-    if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -max(tol.eps, 1e-9):
-        raise ValueError("density operator has a negative eigenvalue beyond tolerance")
 
 
 def schmidt(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> SchmidtDecomposition:

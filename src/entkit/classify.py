@@ -16,7 +16,8 @@ or right-orthogonal (the object state is transferred into the probe).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+import functools
+from typing import Callable, Union
 
 import numpy as np
 
@@ -36,9 +37,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
-    random_state,
-    split_seed,
-    swap_unitary,
+    rng_from_seed,
     tensor_product,
     unitarity_defect,
 )
@@ -46,6 +45,9 @@ from .linalg import (
 # Number of seeded random product inputs tried after the deterministic grid
 # when hunting for an entanglement witness.
 WITNESS_SAMPLES = 64
+
+# Most probe candidates whose images one batch of the witness engine holds.
+_BATCH_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -171,28 +173,106 @@ def decompose_swap(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover (V21, W12) with ||u - (V21 ⊗ W12) @ SWAP||_F <= tol; d1 == d2 only."""
     u = _check_bipartite_unitary(u, d, d, tol)
-    swap = swap_unitary(d)
     try:
-        return _split_rank_one(realign(u @ swap, d, d), d, d, tol)
+        return _split_rank_one(realign(_swap_columns(u, d), d, d), d, d, tol)
     except NotProductFormError:
         raise NotProductFormError("unitary is not of swap form within tolerance") from None
 
 
-def _witness_candidates(d1: int, d2: int, seed: int, n_samples: int):
-    """Deterministic witness inputs: superposition grid first, then seeded samples."""
-    eye1 = np.eye(d1)
-    eye2 = np.eye(d2)
-    for i in range(d1):
-        for j in range(i, d1):
-            a = (eye1[i] + eye1[j]) / np.linalg.norm(eye1[i] + eye1[j])
-            for k in range(d2):
-                for l in range(k, d2):
-                    b = (eye2[k] + eye2[l]) / np.linalg.norm(eye2[k] + eye2[l])
-                    yield f"grid:{i}:{j}:{k}:{l}", a, b
-    for n in range(n_samples):
-        a = random_state(d1, split_seed(seed, f"witness-left-{n}"))
-        b = random_state(d2, split_seed(seed, f"witness-right-{n}"))
-        yield f"rand:{n}", a, b
+def _swap_columns(u: np.ndarray, d: int) -> np.ndarray:
+    """u @ SWAP on a d*d bipartite space, as a column permutation."""
+    return u.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_factors(d: int) -> np.ndarray:
+    """Rows (e_i + e_j) / ||e_i + e_j|| for i <= j, in row-major pair order.
+
+    Cached per dimension, so the array is read-only.
+    """
+    i, j = np.triu_indices(d)
+    rows = np.arange(i.size)
+    f = np.zeros((i.size, d))
+    f[rows, i] += 1.0
+    f[rows, j] += 1.0
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    f.flags.writeable = False
+    return f
+
+
+def _random_factors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n unit-norm rows with complex Gaussian entries."""
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _first_hit(
+    images: Callable[[int, int], np.ndarray], n: int, d1: int, d2: int, margin: float
+) -> tuple[int, float] | None:
+    """First index in 0..n-1 whose image has second Schmidt coefficient > margin.
+
+    ``images(start, stop)`` returns the (stop - start, d1 * d2) image vectors
+    of those candidates. Batches grow from 1 to _BATCH_CAP candidates, so an
+    early hit costs one candidate's work and memory stays bounded.
+    """
+    start, size = 0, 1
+    while start < n:
+        stop = min(start + size, n)
+        s = np.linalg.svd(images(start, stop).reshape(-1, d1, d2), compute_uv=False)
+        above = s[:, 1] > margin
+        if above.any():
+            k = int(np.argmax(above))
+            return start + k, float(s[k, 1])
+        start, size = stop, min(2 * size, _BATCH_CAP)
+    return None
+
+
+def _find_witness(
+    u: np.ndarray, d1: int, d2: int, margin: float, seed: int, n_samples: int
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """First product input a ⊗ b whose image u(a ⊗ b) has second Schmidt
+    coefficient > margin, as (a, b, coefficient); None when no probe has one.
+
+    Probes the superposition grid (e_i + e_j) ⊗ (f_k + f_l), normalized, with
+    the left pair as the outer loop, then n_samples random product inputs
+    drawn from one generator seeded with ``seed``.
+    """
+    if min(d1, d2) == 1:
+        return None
+    dim = d1 * d2
+    left, right = _grid_factors(d1), _grid_factors(d2)
+    n2 = right.shape[0]
+    u3 = u.reshape(dim, d1, d2)
+
+    def grid_images(start: int, stop: int) -> np.ndarray:
+        # Contract U with each left factor once, then reach every right
+        # factor of that row with one matmul: D * d2 work per candidate.
+        p0, p1 = start // n2, (stop - 1) // n2 + 1
+        partial = left[p0:p1] @ u3
+        rows = [
+            right[max(start - p * n2, 0) : min(stop - p * n2, n2)] @ partial[:, p - p0].T
+            for p in range(p0, p1)
+        ]
+        return np.concatenate(rows)
+
+    hit = _first_hit(grid_images, left.shape[0] * n2, d1, d2, margin)
+    if hit is not None:
+        c, coeff = hit
+        return left[c // n2], right[c % n2], coeff
+
+    rng = rng_from_seed(seed)
+    a = _random_factors(rng, n_samples, d1)
+    b = _random_factors(rng, n_samples, d2)
+
+    def random_images(start: int, stop: int) -> np.ndarray:
+        inputs = (a[start:stop, :, None] * b[start:stop, None, :]).reshape(stop - start, dim)
+        return inputs @ u.T
+
+    hit = _first_hit(random_images, n_samples, d1, d2, margin)
+    if hit is not None:
+        n, coeff = hit
+        return a[n], b[n], coeff
+    return None
 
 
 def classify_unitary(
@@ -214,17 +294,15 @@ def classify_unitary(
         v, w = _split_rank_one(realign(u, d1, d2), d1, d2, tol)
         return Product(v, w)
     if d1 == d2:
-        swapped = u @ swap_unitary(d1)
+        swapped = _swap_columns(u, d1)
         if operator_schmidt_rank(swapped, d1, d2, tol) == 1:
             v21, w12 = _split_rank_one(realign(swapped, d1, d1), d1, d1, tol)
             return SwapForm(v21, w12)
-    margin = 10 * tol.eps
-    for _, a, b in _witness_candidates(d1, d2, seed, WITNESS_SAMPLES):
+    hit = _find_witness(u, d1, d2, 10 * tol.eps, seed, WITNESS_SAMPLES)
+    if hit is not None:
+        a, b, coeff = hit
         inp = product_state(a, b)
-        image = PureState(inp.space, u @ inp.vec)
-        coeffs = np.linalg.svd(image.coefficient_matrix(), compute_uv=False)
-        if len(coeffs) > 1 and coeffs[1] > margin:
-            return Entangling(image, inp, float(coeffs[1]))
+        return Entangling(PureState(inp.space, u @ inp.vec), inp, coeff)
     raise WitnessSearchError(
         "no entanglement witness found although the realignment rank exceeds 1; "
         "the tolerance is likely misconfigured"
@@ -238,7 +316,7 @@ def reconstruction_error(form: NonEntanglingForm, u: np.ndarray) -> float:
         return frobenius(u - tensor_product(form.v, form.w))
     if isinstance(form, SwapForm):
         d = form.v21.shape[0]
-        return frobenius(u - tensor_product(form.v21, form.w12) @ swap_unitary(d))
+        return frobenius(u - _swap_columns(tensor_product(form.v21, form.w12), d))
     return float("nan")
 
 
@@ -258,13 +336,10 @@ def brute_force_non_entangling(
     tol.
     """
     u = _check_bipartite_unitary(u, d1, d2, tol)
-    for _, a, b in _witness_candidates(d1, d2, seed, n_samples):
-        inp = product_state(a, b)
-        image = PureState(inp.space, u @ inp.vec)
-        coeffs = np.linalg.svd(image.coefficient_matrix(), compute_uv=False)
-        if len(coeffs) > 1 and coeffs[1] > tol.eps:
-            return False, inp
-    return True, None
+    hit = _find_witness(u, d1, d2, tol.eps, seed, n_samples)
+    if hit is None:
+        return True, None
+    return False, product_state(hit[0], hit[1])
 
 
 def _factor_slice_image(

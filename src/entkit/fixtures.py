@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import haar_unitary, random_state, rng_from_seed, split_seed, swap_unitary, tensor_product
+from .linalg import haar_unitary, rng_from_seed, split_seed, swap_unitary, tensor_product
 from .measurement import POVM
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -97,8 +97,3 @@ def random_povm(d: int, n_outcomes: int, seed: int) -> POVM:
     effects = tuple(inv_root @ p @ inv_root for p in pieces)
     return POVM(d, tuple(str(k) for k in range(n_outcomes)), effects)
 
-
-def random_product_vector(d1: int, d2: int, seed: int) -> np.ndarray:
-    a = random_state(d1, split_seed(seed, "pv-left"))
-    b = random_state(d2, split_seed(seed, "pv-right"))
-    return np.kron(a, b)

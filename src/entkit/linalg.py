@@ -75,13 +75,16 @@ def frobenius(a: np.ndarray) -> float:
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
+    # Size the result from the shapes alone, before as_matrix copies the
+    # operands to complex128; a vector counts as one column.
+    rows = cols = 1
+    for shape in (np.shape(a), np.shape(b)):
+        if len(shape) in (1, 2):
+            rows *= shape[0]
+            cols *= shape[1] if len(shape) == 2 else 1
     if rows * cols > _MAX_PRODUCT_ENTRIES:
         raise DimensionError(f"tensor product shape {rows}x{cols} too large")
-    return np.kron(a, b)
+    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -183,10 +186,10 @@ def swap_unitary(d: int) -> np.ndarray:
     """The canonical flip e_i ⊗ f_j -> f_j ⊗ e_i on a d*d bipartite space."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
+    # Column i * d + j (input e_i ⊗ f_j) has its 1 in row j * d + i.
+    col = np.arange(d * d)
     s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
+    s[(col % d) * d + col // d, col] = 1.0
     return s
 
 

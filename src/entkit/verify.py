@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import fixtures
+from . import __version__, fixtures
 from .bipartite import entanglement_entropy, PureState
 from .classify import (
     Product,
@@ -52,7 +52,7 @@ from .measurement import (
     triviality_deviation,
 )
 
-VERSION = "0.1.0"
+VERSION = __version__
 
 
 @dataclass(frozen=True)

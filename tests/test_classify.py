@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entkit import classify
 from entkit.bipartite import BipartiteSpace, PureState, schmidt_rank
 from entkit.classify import (
     Entangling,
@@ -24,7 +25,7 @@ from entkit.errors import (
     SliceHypothesisError,
 )
 from entkit.fixtures import PAULI_X, PAULI_Z, cnot, controlled_phase, dressed_swap, haar_product
-from entkit.linalg import haar_unitary, random_state, swap_unitary, tensor_product
+from entkit.linalg import DEFAULT_TOL, haar_unitary, random_state, rng_from_seed, swap_unitary, tensor_product
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 E2 = np.eye(2)
@@ -293,3 +294,89 @@ class TestEqualDimensionConstraint:
             assert not isinstance(classify_unitary(u, d1, d2, seed=seed), SwapForm)
             gen = haar_unitary(d1 * d2, seed)
             assert not isinstance(classify_unitary(gen, d1, d2, seed=seed), SwapForm)
+
+
+def _reference_first_hit(u, d1, d2, margin, candidates):
+    """Per-candidate loop: one input, one matvec, one SVD at a time."""
+    for a, b in candidates:
+        s = np.linalg.svd((u @ np.kron(a, b)).reshape(d1, d2), compute_uv=False)
+        if s[1] > margin:
+            return a, b, float(s[1])
+    return None
+
+
+def _grid_candidates(d1, d2):
+    eye1, eye2 = np.eye(d1), np.eye(d2)
+    for i in range(d1):
+        for j in range(i, d1):
+            a = (eye1[i] + eye1[j]) / np.linalg.norm(eye1[i] + eye1[j])
+            for k in range(d2):
+                for l in range(k, d2):
+                    yield a, (eye2[k] + eye2[l]) / np.linalg.norm(eye2[k] + eye2[l])
+
+
+ENGINE_CASES = {
+    "cnot": (cnot(), 2, 2),
+    "cnot-probe-control": (cnot(control_on_object=False), 2, 2),
+    "cphase-3x3": (controlled_phase(np.pi / 3, 3, 3), 3, 3),
+    "cphase-8x8": (controlled_phase(np.pi / 3, 8, 8), 8, 8),
+    "haar-2x3": (haar_unitary(6, 31), 2, 3),
+    "haar-4x4": (haar_unitary(16, 44), 4, 4),
+}
+
+
+class TestWitnessEngine:
+    MARGIN = 10 * DEFAULT_TOL.eps
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_grid_matches_reference_loop(self, case, cap, monkeypatch):
+        if cap is not None:
+            # Batches of at most 3 cross chunk and grid-row boundaries.
+            monkeypatch.setattr(classify, "_BATCH_CAP", cap)
+        u, d1, d2 = ENGINE_CASES[case]
+        want = _reference_first_hit(u, d1, d2, self.MARGIN, _grid_candidates(d1, d2))
+        got = classify._find_witness(u, d1, d2, self.MARGIN, seed=0, n_samples=0)
+        assert want is not None and got is not None
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert abs(got[2] - want[2]) < 1e-12
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_random_tail_matches_reference_loop(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(classify, "_BATCH_CAP", cap)
+        # An empty grid leaves the random tail alone. With this seed and
+        # margin the first ten random inputs fall short, so the hit is the
+        # eleventh, past several batch boundaries.
+        monkeypatch.setattr(classify, "_grid_factors", lambda d: np.zeros((0, d)))
+        u, d1, d2, seed, n = controlled_phase(np.pi / 3, 3, 3), 3, 3, 21, 40
+        rng = rng_from_seed(seed)
+        a = classify._random_factors(rng, n, d1)
+        b = classify._random_factors(rng, n, d2)
+        margin = 0.2
+        want = _reference_first_hit(u, d1, d2, margin, zip(a, b))
+        got = classify._find_witness(u, d1, d2, margin, seed, n)
+        assert want is not None and got is not None
+        np.testing.assert_array_equal(got[0], a[10])
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert abs(got[2] - want[2]) < 1e-12
+
+    def test_random_tail_deterministic_unit_norm(self):
+        draw = lambda seed: classify._random_factors(rng_from_seed(seed), 50, 3)
+        np.testing.assert_array_equal(draw(9), draw(9))
+        assert not np.array_equal(draw(9), draw(10))
+        np.testing.assert_allclose(np.linalg.norm(draw(9), axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_hit_on_non_entangling(self, d):
+        for u in (haar_product(d, d, 3)[0], dressed_swap(d, 4)[0], haar_product(2, d + 1, 5)[0]):
+            d1, d2 = (d, d) if u.shape[0] == d * d else (2, d + 1)
+            assert classify._find_witness(u, d1, d2, DEFAULT_TOL.eps, 6, 200) is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_swap_columns_is_product_with_swap(self, d):
+        rng = np.random.default_rng(d)
+        u = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        np.testing.assert_array_equal(classify._swap_columns(u, d), u @ swap_unitary(d))

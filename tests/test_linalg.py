@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -73,6 +75,18 @@ class TestTensorProduct:
     def test_overflow_guard(self):
         with pytest.raises(DimensionError):
             tensor_product(np.eye(10000), np.eye(10000))
+
+    def test_overflow_guard_checks_before_allocating(self):
+        # Zero-copy operands: only a coercion ahead of the guard allocates.
+        big = np.broadcast_to(1.0, (10000, 10000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                tensor_product(big, big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAdjoint:
