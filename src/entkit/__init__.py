@@ -34,8 +34,6 @@ from .classify import (
     brute_force_non_entangling,
     classify_slice,
     classify_unitary,
-    decompose_product,
-    decompose_swap,
     operator_schmidt_rank,
     realign,
 )
@@ -54,7 +52,6 @@ from .linalg import (
     Tolerance,
     adjoint,
     haar_unitary,
-    hermitian_eig,
     is_unitary,
     random_state,
     swap_unitary,

@@ -160,25 +160,6 @@ def _split_rank_one(r: np.ndarray, d1: int, d2: int, tol: Tolerance) -> tuple[np
     return v, w
 
 
-def decompose_product(
-    u: np.ndarray, d1: int, d2: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (V, W) from a product-form unitary, ||u - V ⊗ W||_F <= tol."""
-    u = _check_bipartite_unitary(u, d1, d2, tol)
-    return _split_rank_one(realign(u, d1, d2), d1, d2, tol)
-
-
-def decompose_swap(
-    u: np.ndarray, d: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (V21, W12) with ||u - (V21 ⊗ W12) @ SWAP||_F <= tol; d1 == d2 only."""
-    u = _check_bipartite_unitary(u, d, d, tol)
-    try:
-        return _split_rank_one(realign(_swap_columns(u, d), d, d), d, d, tol)
-    except NotProductFormError:
-        raise NotProductFormError("unitary is not of swap form within tolerance") from None
-
-
 def _swap_columns(u: np.ndarray, d: int) -> np.ndarray:
     """u @ SWAP on a d*d bipartite space, as a column permutation."""
     return u.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,68 +75,28 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation.
+def _validate(args: argparse.Namespace) -> None:
+    """Check the shared flags and turn ``args.tol`` into a Tolerance.
 
-    The seed always has a value (default 0xB05C) so unseeded runs are
-    reproducible; dimensions, when given, are positive.
+    The seed always has a value (default 0xB05C), so unseeded runs are
+    reproducible.
     """
+    if args.dims is not None:
+        d1, d2 = args.dims
+        if d1 < 1 or d2 < 1:
+            raise CliError(f"dimensions must be positive, got {d1} {d2}", EXIT_BAD_INPUT)
+    try:
+        args.tol = Tolerance(args.tol)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    if args.steps < 2:
+        raise CliError(f"--steps must be at least 2, got {args.steps}", EXIT_BAD_INPUT)
 
-    command: str
-    tol: Tolerance
-    seed: int
-    dims: tuple[int, int] | None
-    steps: int
-    samples: int
-    out: str | None
-    fmt: str
-    input: str | None = None
-    phi0: str | None = None
-    scheme: str | None = None
-    state: str | None = None
-    probe_init: str | None = None
-    name: str | None = None
-    phase: float = 0.0
-    probe_control: bool = False
 
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        dims = None
-        if args.dims is not None:
-            d1, d2 = args.dims
-            if d1 < 1 or d2 < 1:
-                raise CliError(f"dimensions must be positive, got {d1} {d2}", EXIT_BAD_INPUT)
-            dims = (d1, d2)
-        try:
-            tol = Tolerance(args.tol)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-        if args.steps < 2:
-            raise CliError(f"--steps must be at least 2, got {args.steps}", EXIT_BAD_INPUT)
-        return RunConfig(
-            command=args.command,
-            tol=tol,
-            seed=args.seed,
-            dims=dims,
-            steps=args.steps,
-            samples=args.samples,
-            out=args.out,
-            fmt=args.format,
-            input=getattr(args, "input", None),
-            phi0=getattr(args, "phi0", None),
-            scheme=getattr(args, "scheme", None),
-            state=getattr(args, "state", None),
-            probe_init=getattr(args, "probe_init", None),
-            name=getattr(args, "name", None),
-            phase=getattr(args, "phase", 0.0),
-            probe_control=getattr(args, "probe_control", False),
-        )
-
-    def require_dims(self) -> tuple[int, int]:
-        if self.dims is None:
-            raise CliError("--dims d1 d2 is required for this command", EXIT_BAD_INPUT)
-        return self.dims
+def _require_dims(args: argparse.Namespace) -> tuple[int, int]:
+    if args.dims is None:
+        raise CliError("--dims d1 d2 is required for this command", EXIT_BAD_INPUT)
+    return tuple(args.dims)
 
 
 def _load_json(path: str):
@@ -164,13 +123,13 @@ def _load_vector(path: str) -> np.ndarray:
         raise CliError(f"{path} is not a valid vector: {exc}", EXIT_BAD_INPUT) from exc
 
 
-def _report_header(claim: str, config: RunConfig) -> dict:
+def _report_header(claim: str, args: argparse.Namespace) -> dict:
     return {
         "tool": "entkit",
         "version": verify.VERSION,
         "claim": claim,
-        "tol": config.tol.eps,
-        "seed": config.seed,
+        "tol": args.tol.eps,
+        "seed": args.seed,
     }
 
 
@@ -190,16 +149,16 @@ def _render(report: dict, fmt: str) -> str:
     raise CliError(f"format {fmt!r} not supported for this command", EXIT_BAD_INPUT)
 
 
-def cmd_classify(config: RunConfig) -> int:
-    d1, d2 = config.require_dims()
-    u = _load_matrix(config.input)
+def cmd_classify(args: argparse.Namespace) -> int:
+    d1, d2 = _require_dims(args)
+    u = _load_matrix(args.input)
     try:
-        form = classify_unitary(u, d1, d2, config.tol, config.seed)
+        form = classify_unitary(u, d1, d2, args.tol, args.seed)
     except DimensionError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     except NonUnitaryError as exc:
         raise CliError(f"{exc} (unitarity defect {exc.defect:.6e})", EXIT_NOT_UNITARY) from exc
-    report = _report_header("theorem-classification", config)
+    report = _report_header("theorem-classification", args)
     report["dims"] = [d1, d2]
     report["verdict"] = form.verdict
     if isinstance(form, Product):
@@ -218,23 +177,23 @@ def cmd_classify(config: RunConfig) -> int:
             "image": state_to_json(form.witness),
             "second_schmidt_coeff": form.second_coeff,
         }
-    _emit(_render(report, config.fmt), config.out)
+    _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
 
-def cmd_slice(config: RunConfig) -> int:
-    d1, d2 = config.require_dims()
-    u = _load_matrix(config.input)
-    phi0 = _load_vector(config.phi0)
+def cmd_slice(args: argparse.Namespace) -> int:
+    d1, d2 = _require_dims(args)
+    u = _load_matrix(args.input)
+    phi0 = _load_vector(args.phi0)
     try:
-        form = classify_slice(u, d1, d2, phi0, config.tol)
+        form = classify_slice(u, d1, d2, phi0, args.tol)
     except SliceHypothesisError as exc:
         raise CliError(f"{exc} (offending indices {exc.indices})", EXIT_HYPOTHESIS) from exc
     except NonUnitaryError as exc:
         raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
     except (DimensionError, ValueError) as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-    report = _report_header("prop1-slice", config)
+    report = _report_header("prop1-slice", args)
     report["dims"] = [d1, d2]
     report["form"] = form.form
     if isinstance(form, LocalOnObject):
@@ -243,30 +202,30 @@ def cmd_slice(config: RunConfig) -> int:
         report["isometry"] = matrix_to_json(form.w12)
     report["phi_prime"] = vector_to_json(form.phi_prime)
     report["residual"] = slice_residual(form, u, d1, d2, phi0)
-    _emit(_render(report, config.fmt), config.out)
+    _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
 
-def cmd_measure(config: RunConfig) -> int:
-    raw = _load_json(config.scheme)
+def cmd_measure(args: argparse.Namespace) -> int:
+    raw = _load_json(args.scheme)
     try:
         scheme = scheme_from_json(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid scheme: {exc}", EXIT_BAD_INPUT) from exc
-    phi = _load_vector(config.state)
+    phi = _load_vector(args.state)
     try:
-        scheme.check(config.tol)
-        induced = measured_observable(scheme, config.tol)
-        probs = outcome_probabilities(scheme, phi, config.tol)
+        scheme.check(args.tol)
+        induced = measured_observable(scheme, args.tol)
+        probs = outcome_probabilities(scheme, phi, args.tol)
         rho = DensityOperator.from_pure(phi)
-        dist = disturbance(scheme, rho, config.tol)
+        dist = disturbance(scheme, rho, args.tol)
     except InvalidPOVMError as exc:
         raise CliError(f"invalid POVM: {exc.report}", EXIT_HYPOTHESIS) from exc
     except ValueError as exc:
         # covers normalization, dimension and coupling-unitarity defects
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-    trivial, scalars = is_trivial_povm(induced, config.tol)
-    report = _report_header("prob-reproducibility", config)
+    trivial, scalars = is_trivial_povm(induced, args.tol)
+    report = _report_header("prob-reproducibility", args)
     report["outcomes"] = list(probs.labels)
     report["probabilities"] = [float(p) for p in probs.probabilities]
     report["measured_observable"] = povm_to_json(induced)
@@ -274,21 +233,21 @@ def cmd_measure(config: RunConfig) -> int:
     report["trivial_scalars"] = scalars
     report["triviality_deviation"] = triviality_deviation(induced)
     report["disturbance"] = dist
-    _emit(_render(report, config.fmt), config.out)
+    _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
 
-def cmd_path(config: RunConfig) -> int:
-    d1, d2 = config.require_dims()
-    u = _load_matrix(config.input)
-    if config.probe_init:
-        probe_init = _load_vector(config.probe_init)
+def cmd_path(args: argparse.Namespace) -> int:
+    d1, d2 = _require_dims(args)
+    u = _load_matrix(args.input)
+    if args.probe_init:
+        probe_init = _load_vector(args.probe_init)
     else:
         probe_init = np.eye(d2)[0]
     try:
-        path = geodesic_path(u, d1, d2, config.tol)
+        path = geodesic_path(u, d1, d2, args.tol)
         profile = entanglement_profile(
-            path, probe_init, config.steps, config.seed, config.samples, config.tol
+            path, probe_init, args.steps, args.seed, args.samples, args.tol
         )
     except NonUnitaryError as exc:
         raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
@@ -303,12 +262,12 @@ def cmd_path(config: RunConfig) -> int:
         f"({best.maximizing_input_id}); interior entangling point witnessed: {obstruction}"
     )
     print(summary, file=sys.stderr)
-    if config.fmt == "csv":
-        _emit(profile_csv(profile.points), config.out)
+    if args.format == "csv":
+        _emit(profile_csv(profile.points), args.out)
         return EXIT_OK
-    report = _report_header("swap-obstruction", config)
+    report = _report_header("swap-obstruction", args)
     report["dims"] = [d1, d2]
-    report["n_steps"] = config.steps
+    report["n_steps"] = args.steps
     report["max_entropy_bits"] = best.max_entropy_bits
     report["max_entropy_t"] = best.t
     report["max_entropy_input_id"] = best.maximizing_input_id
@@ -325,61 +284,49 @@ def cmd_path(config: RunConfig) -> int:
         }
         for pt in profile.points
     ]
-    _emit(_render(report, config.fmt), config.out)
-    if config.out:
+    _emit(_render(report, args.format), args.out)
+    if args.out:
         # the grid data also lands next to the report as CSV
-        base = config.out[: -len(".json")] if config.out.endswith(".json") else config.out
+        base = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
         write_atomic(base + ".csv", profile_csv(profile.points))
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = verify.run_all(config.seed, config.tol)
-    _emit(_render(report, config.fmt), config.out)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = verify.run_all(args.seed, args.tol)
+    _emit(_render(report, args.format), args.out)
     return EXIT_OK if report["passed"] else EXIT_SUITE_FAILURE
 
 
-def cmd_gen(config: RunConfig) -> int:
-    d1, d2 = config.dims if config.dims else (2, 2)
-    seed = config.seed
-    name = config.name
-    if name == "identity":
-        obj = matrix_to_json(np.eye(d1 * d2))
-    elif name == "swap":
-        if d1 != d2:
-            raise CliError("swap requires equal dimensions", EXIT_BAD_INPUT)
-        obj = matrix_to_json(swap_unitary(d1))
-    elif name == "cnot":
-        obj = matrix_to_json(fixtures.cnot(control_on_object=not config.probe_control))
-    elif name == "controlled-phase":
-        obj = matrix_to_json(fixtures.controlled_phase(config.phase, d1, d2))
-    elif name == "haar":
-        obj = matrix_to_json(haar_unitary(d1 * d2, seed))
-    elif name == "haar-product":
-        u, _, _ = fixtures.haar_product(d1, d2, seed)
-        obj = matrix_to_json(u)
-    elif name == "dressed-swap":
-        if d1 != d2:
-            raise CliError("dressed-swap requires equal dimensions", EXIT_BAD_INPUT)
-        u, _, _ = fixtures.dressed_swap(d1, seed)
-        obj = matrix_to_json(u)
-    elif name == "random-state":
-        obj = vector_to_json(random_state(d1, seed))
-    elif name == "projective-povm":
-        obj = povm_to_json(fixtures.projective_povm(d1))
-    elif name == "trine-povm":
-        obj = povm_to_json(fixtures.trine_povm())
-    elif name == "random-povm":
-        obj = povm_to_json(fixtures.random_povm(d1, max(2, config.samples), seed))
-    elif name == "swap-scheme":
-        if d1 != d2:
-            raise CliError("swap-scheme requires equal dimensions", EXIT_BAD_INPUT)
-        pointer = fixtures.projective_povm(d1)
-        phi0 = np.eye(d1)[0]
-        obj = scheme_to_json(swap_scheme(pointer, phi0))
-    else:
-        raise CliError(f"unknown fixture name {name!r}", EXIT_BAD_INPUT)
-    _emit(canonical_json(obj), config.out)
+# name -> builder(args, d1, d2) of the JSON object `gen` emits.
+FIXTURES = {
+    "identity": lambda a, d1, d2: matrix_to_json(np.eye(d1 * d2)),
+    "swap": lambda a, d1, d2: matrix_to_json(swap_unitary(d1)),
+    "cnot": lambda a, d1, d2: matrix_to_json(fixtures.cnot(control_on_object=not a.probe_control)),
+    "controlled-phase": lambda a, d1, d2: matrix_to_json(fixtures.controlled_phase(a.phase, d1, d2)),
+    "haar": lambda a, d1, d2: matrix_to_json(haar_unitary(d1 * d2, a.seed)),
+    "haar-product": lambda a, d1, d2: matrix_to_json(fixtures.haar_product(d1, d2, a.seed)[0]),
+    "dressed-swap": lambda a, d1, d2: matrix_to_json(fixtures.dressed_swap(d1, a.seed)[0]),
+    "random-state": lambda a, d1, d2: vector_to_json(random_state(d1, a.seed)),
+    "projective-povm": lambda a, d1, d2: povm_to_json(fixtures.projective_povm(d1)),
+    "trine-povm": lambda a, d1, d2: povm_to_json(fixtures.trine_povm()),
+    "random-povm": lambda a, d1, d2: povm_to_json(fixtures.random_povm(d1, max(2, a.samples), a.seed)),
+    "swap-scheme": lambda a, d1, d2: scheme_to_json(
+        swap_scheme(fixtures.projective_povm(d1), np.eye(d1)[0])
+    ),
+}
+
+# Fixtures that exist only when both factors have the same dimension.
+_EQUAL_DIM_FIXTURES = ("swap", "dressed-swap", "swap-scheme")
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    d1, d2 = args.dims or (2, 2)
+    if args.name not in FIXTURES:
+        raise CliError(f"unknown fixture name {args.name!r}", EXIT_BAD_INPUT)
+    if args.name in _EQUAL_DIM_FIXTURES and d1 != d2:
+        raise CliError(f"{args.name} requires equal dimensions", EXIT_BAD_INPUT)
+    _emit(canonical_json(FIXTURES[args.name](args, d1, d2)), args.out)
     return EXIT_OK
 
 
@@ -436,12 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("gen", help="emit a named fixture as JSON")
-    p.add_argument(
-        "name",
-        help="identity | swap | cnot | controlled-phase | haar | haar-product | "
-        "dressed-swap | random-state | projective-povm | trine-povm | "
-        "random-povm | swap-scheme",
-    )
+    # No argparse choices: an unknown name must return 2 from main(), not exit.
+    p.add_argument("name", help=" | ".join(FIXTURES))
     p.add_argument("--phase", type=float, default=float(np.pi) / 2)
     p.add_argument("--probe-control", action="store_true")
     add_common(p)
@@ -452,8 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return COMMANDS[config.command](config)
+        _validate(args)
+        return COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -19,10 +19,6 @@ class NonUnitaryError(ValueError):
         self.defect = defect
 
 
-class NonHermitianError(ValueError):
-    """Matrix fails the Hermiticity check beyond the allowed tolerance."""
-
-
 class NormalizationError(ValueError):
     """Vector is not normalized within tolerance."""
 

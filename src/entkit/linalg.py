@@ -14,7 +14,7 @@ import zlib
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NonHermitianError, NonUnitaryError
+from .errors import DimensionError, NonUnitaryError
 
 # Default absolute tolerance for Frobenius-norm comparisons. Comfortably above
 # double-precision accumulation error at the dimensions this package targets
@@ -105,55 +105,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = as_matrix(u)
     eye = np.eye(u.shape[0])
     return max(frobenius(u.conj().T @ u - eye), frobenius(u @ u.conj().T - eye))
-
-
-def _phase_fix_columns(v: np.ndarray, eps: float) -> np.ndarray:
-    """Rotate each column so its first component with modulus > eps is real positive."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        big = np.flatnonzero(np.abs(col) > eps)
-        if big.size:
-            v[:, k] = col * np.exp(-1j * np.angle(col[big[0]]))
-    return v
-
-
-def hermitian_eig(
-    h: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with deterministic ordering.
-
-    Returns (eigenvalues descending, eigenvector columns). Each eigenvector's
-    first component with modulus > tol.eps is made real positive; exact
-    eigenvalue ties are broken by descending lexicographic comparison of the
-    phase-fixed vectors.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise DimensionError(f"expected square matrix, got {h.shape}")
-    defect = frobenius(h - h.conj().T)
-    if defect > tol.eps:
-        raise NonHermitianError(f"matrix is not Hermitian: ||h - h^†||_F = {defect:.3e}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    w = w[::-1].copy()
-    v = _phase_fix_columns(v[:, ::-1], tol.eps)
-
-    # Stable tie-break inside runs of exactly equal eigenvalues.
-    start = 0
-    while start < len(w):
-        stop = start
-        while stop + 1 < len(w) and w[stop + 1] == w[start]:
-            stop += 1
-        if stop > start:
-            block = v[:, start : stop + 1]
-            keys = [
-                tuple((c.real, c.imag) for c in block[:, k])
-                for k in range(block.shape[1])
-            ]
-            order = sorted(range(block.shape[1]), key=keys.__getitem__, reverse=True)
-            v[:, start : stop + 1] = block[:, order]
-        start = stop + 1
-    return w, v
 
 
 def unitary_log(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -68,6 +68,40 @@ class SuiteResult:
         return asdict(self)
 
 
+class _Tally:
+    """One suite's bookkeeping: check and failure counts, worst values.
+
+    ``worst_defaults`` fixes the keys of the worst dict and the values it
+    reports when nothing is recorded; ``record`` keeps the maximum per key.
+    """
+
+    def __init__(self, name: str, claim: str, **worst_defaults: float):
+        self.name = name
+        self.claim = claim
+        self.worst = dict(worst_defaults)
+        self.checks = 0
+        self.failures = 0
+
+    def record(self, **worst: float) -> None:
+        for key, value in worst.items():
+            self.worst[key] = max(self.worst[key], value)
+
+    def check(self, ok: bool, **worst: float) -> None:
+        self.record(**worst)
+        self.checks += 1
+        self.failures += not ok
+
+    def result(self) -> SuiteResult:
+        return SuiteResult(
+            name=self.name,
+            claim=self.claim,
+            passed=self.failures == 0,
+            checks=self.checks,
+            failures=self.failures,
+            worst=dict(self.worst),
+        )
+
+
 def _phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """||b - e^{i phase} a||_F minimized over the global phase."""
     overlap = np.trace(a.conj().T @ b)
@@ -79,9 +113,7 @@ def suite_prob_reproducibility(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """Swap schemes reproduce the pointer statistics on the object state."""
-    checks = 0
-    failures = 0
-    worst = 0.0
+    tally = _Tally("prob_reproducibility", "prob-reproducibility", probability_deviation=0.0)
     for n in range(100):
         d = (2, 3, 4)[n % 3]
         pointer = fixtures.random_povm(d, 2 + n % 3, split_seed(seed, f"pr-povm-{n}"))
@@ -93,18 +125,8 @@ def suite_prob_reproducibility(
             [float(np.vdot(phi, eff @ phi).real) for eff in pointer.effects]
         )
         deviation = float(np.abs(probs - direct).max())
-        worst = max(worst, deviation)
-        checks += 1
-        if deviation >= 1e-10:
-            failures += 1
-    return SuiteResult(
-        name="prob_reproducibility",
-        claim="prob-reproducibility",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={"probability_deviation": worst},
-    )
+        tally.check(deviation < 1e-10, probability_deviation=deviation)
+    return tally.result()
 
 
 def classifier_corpus(seed: int) -> list[tuple[str, int, int, np.ndarray]]:
@@ -146,120 +168,84 @@ def suite_classifier_oracle(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """classify_unitary agrees with the sampling oracle; forms reconstruct."""
-    corpus = classifier_corpus(seed)
-    checks = 0
-    failures = 0
+    tally = _Tally(
+        "classifier_oracle", "theorem-classification",
+        disagreements=0.0, reconstruction_error=0.0,
+    )
     disagreements = 0
-    worst_reconstruction = 0.0
-    for label, d1, d2, u in corpus:
+    for label, d1, d2, u in classifier_corpus(seed):
         form = classify_unitary(u, d1, d2, tol, split_seed(seed, f"co-cls-{label}"))
         non_entangling, _ = brute_force_non_entangling(
             u, d1, d2, tol, split_seed(seed, f"co-bf-{label}"), n_samples=40
         )
         ok = isinstance(form, (Product, SwapForm)) == non_entangling
-        if not ok:
-            disagreements += 1
+        disagreements += not ok
         if isinstance(form, (Product, SwapForm)):
             err = reconstruction_error(form, u)
-            worst_reconstruction = max(worst_reconstruction, err)
+            tally.record(reconstruction_error=err)
             ok = ok and err < 1e-8
-        checks += 1
-        if not ok:
-            failures += 1
-    return SuiteResult(
-        name="classifier_oracle",
-        claim="theorem-classification",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={
-            "disagreements": float(disagreements),
-            "reconstruction_error": worst_reconstruction,
-        },
-    )
+        tally.check(ok)
+    tally.record(disagreements=float(disagreements))
+    return tally.result()
 
 
 def suite_equal_dim_constraint(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """No swap-form verdict can occur on unequal-dimension spaces."""
-    checks = 0
-    swap_verdicts = 0
+    tally = _Tally("equal_dim_constraint", "theorem-classification", swap_verdicts=0.0)
     for d1, d2 in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 4)):
         for n in range(25):
             u, _, _ = fixtures.haar_product(d1, d2, split_seed(seed, f"eq-prod-{d1}{d2}-{n}"))
             form = classify_unitary(u, d1, d2, tol, split_seed(seed, f"eq-c1-{d1}{d2}-{n}"))
-            swap_verdicts += isinstance(form, SwapForm)
-            checks += 1
+            tally.check(not isinstance(form, SwapForm))
         for n in range(15):
             u = haar_unitary(d1 * d2, split_seed(seed, f"eq-gen-{d1}{d2}-{n}"))
             form = classify_unitary(u, d1, d2, tol, split_seed(seed, f"eq-c2-{d1}{d2}-{n}"))
-            swap_verdicts += isinstance(form, SwapForm)
-            checks += 1
-    return SuiteResult(
-        name="equal_dim_constraint",
-        claim="theorem-classification",
-        passed=swap_verdicts == 0,
-        checks=checks,
-        failures=swap_verdicts,
-        worst={"swap_verdicts": float(swap_verdicts)},
-    )
+            tally.check(not isinstance(form, SwapForm))
+    # Every failed check is a swap verdict.
+    tally.record(swap_verdicts=float(tally.failures))
+    return tally.result()
 
 
 def suite_slice_consistency(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """Slice form matches the full classification, operators agree up to phase."""
-    checks = 0
-    failures = 0
-    worst = 0.0
+    tally = _Tally("slice_consistency", "prop1-slice", operator_distance=0.0)
+
+    def check(form, sliced, full_type, slice_type, operator: str) -> None:
+        ok = isinstance(form, full_type) and isinstance(sliced, slice_type)
+        if ok:
+            distance = _phase_aligned_distance(getattr(form, operator), getattr(sliced, operator))
+            tally.record(operator_distance=distance)
+            ok = distance < 1e-8
+        tally.check(ok)
+
     dims = ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (2, 4))
     for d1, d2 in dims:
         for n in range(18):
             u, _, _ = fixtures.haar_product(d1, d2, split_seed(seed, f"sl-prod-{d1}{d2}-{n}"))
             form = classify_unitary(u, d1, d2, tol, split_seed(seed, f"sl-c-{d1}{d2}-{n}"))
             phi0 = random_state(d2, split_seed(seed, f"sl-phi0-{d1}{d2}-{n}"))
-            sliced = classify_slice(u, d1, d2, phi0, tol)
-            ok = isinstance(form, Product) and isinstance(sliced, LocalOnObject)
-            if ok:
-                distance = _phase_aligned_distance(form.v, sliced.v)
-                worst = max(worst, distance)
-                ok = distance < 1e-8
-            checks += 1
-            if not ok:
-                failures += 1
+            check(form, classify_slice(u, d1, d2, phi0, tol), Product, LocalOnObject, "v")
     for d in (2, 3, 4):
         for n in range(32):
             u, _, _ = fixtures.dressed_swap(d, split_seed(seed, f"sl-swap-{d}-{n}"))
             form = classify_unitary(u, d, d, tol, split_seed(seed, f"sl-cs-{d}-{n}"))
             phi0 = random_state(d, split_seed(seed, f"sl-sphi0-{d}-{n}"))
-            sliced = classify_slice(u, d, d, phi0, tol)
-            ok = isinstance(form, SwapForm) and isinstance(sliced, TransferToProbe)
-            if ok:
-                distance = _phase_aligned_distance(form.w12, sliced.w12)
-                worst = max(worst, distance)
-                ok = distance < 1e-8
-            checks += 1
-            if not ok:
-                failures += 1
-    return SuiteResult(
-        name="slice_consistency",
-        claim="prop1-slice",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={"operator_distance": worst},
-    )
+            check(form, classify_slice(u, d, d, phi0, tol), SwapForm, TransferToProbe, "w12")
+    return tally.result()
 
 
 def suite_trivial_observable(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """Product couplings induce trivial observables; the swap copies the pointer."""
-    checks = 0
-    failures = 0
-    worst_trivial = 0.0
-    worst_swap = 0.0
+    tally = _Tally(
+        "trivial_observable", "no-info-no-disturbance",
+        triviality_deviation=0.0, swap_pointer_distance=0.0,
+    )
     for n in range(200):
         d = (2, 3, 4)[n % 3]
         pointer = fixtures.random_povm(d, 2 + n % 2, split_seed(seed, f"to-povm-{n}"))
@@ -268,27 +254,17 @@ def suite_trivial_observable(
         scheme = MeasurementScheme(d, d, phi0, coupling, pointer)
         induced = measured_observable(scheme, tol)
         deviation = triviality_deviation(induced)
-        worst_trivial = max(worst_trivial, deviation)
         trivial, _ = is_trivial_povm(induced, Tolerance(1e-9))
         swapped = measured_observable(swap_scheme(pointer, phi0, tol), tol)
         pointer_distance = max(
             frobenius(a - b) for a, b in zip(swapped.effects, pointer.effects)
         )
-        worst_swap = max(worst_swap, pointer_distance)
-        checks += 1
-        if not trivial or pointer_distance >= 1e-10:
-            failures += 1
-    return SuiteResult(
-        name="trivial_observable",
-        claim="no-info-no-disturbance",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={
-            "triviality_deviation": worst_trivial,
-            "swap_pointer_distance": worst_swap,
-        },
-    )
+        tally.check(
+            trivial and pointer_distance < 1e-10,
+            triviality_deviation=deviation,
+            swap_pointer_distance=pointer_distance,
+        )
+    return tally.result()
 
 
 def scheme_corpus(seed: int, tol: Tolerance) -> list[tuple[str, MeasurementScheme]]:
@@ -327,10 +303,10 @@ def suite_no_info_no_disturbance(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """Nontrivial information transfer implies a disturbed probed state."""
-    checks = 0
-    failures = 0
-    worst_undisturbed_info = 0.0
-    worst_identity_disturbance = 0.0
+    tally = _Tally(
+        "no_info_no_disturbance", "no-info-no-disturbance",
+        undisturbed_info_deviation=0.0, identity_disturbance=0.0,
+    )
     for label, scheme in scheme_corpus(seed, tol):
         report = no_info_no_disturbance_check(
             scheme, tol, split_seed(seed, f"nind-{label}"), n_states=8
@@ -340,28 +316,12 @@ def suite_no_info_no_disturbance(
             # Information was transferred: some probed state must be disturbed.
             ok = ok and report.max_disturbance > 1e-8
         if label.startswith("identity:"):
-            worst_identity_disturbance = max(
-                worst_identity_disturbance, report.max_disturbance
-            )
+            tally.record(identity_disturbance=report.max_disturbance)
             ok = ok and report.max_disturbance < 1e-12 and report.trivial
         if report.undisturbed:
-            worst_undisturbed_info = max(
-                worst_undisturbed_info, report.max_triviality_deviation
-            )
-        checks += 1
-        if not ok:
-            failures += 1
-    return SuiteResult(
-        name="no_info_no_disturbance",
-        claim="no-info-no-disturbance",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={
-            "undisturbed_info_deviation": worst_undisturbed_info,
-            "identity_disturbance": worst_identity_disturbance,
-        },
-    )
+            tally.record(undisturbed_info_deviation=report.max_triviality_deviation)
+        tally.check(ok)
+    return tally.result()
 
 
 def sqrt_swap_oracle(d: int) -> np.ndarray:
@@ -381,10 +341,10 @@ def suite_swap_obstruction(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """A swap endpoint forces entangling unitaries strictly inside the path."""
-    checks = 0
-    failures = 0
-    worst_oracle = 0.0
-    max_entropy = {}
+    tally = _Tally(
+        "swap_obstruction", "swap-obstruction",
+        midpoint_oracle_deviation=0.0, max_entropy_d2=0.0, max_entropy_d3=0.0,
+    )
     for d in (2, 3):
         path = geodesic_path(swap_unitary(d), d, d, tol)
         probe_init = np.eye(d)[0]
@@ -395,11 +355,7 @@ def suite_swap_obstruction(
             pt.verdict == "entangling" for pt in profile.points if 0.0 < pt.t < 1.0
         )
         peak = profile.max_point().max_entropy_bits
-        max_entropy[f"d{d}"] = peak
-        ok = interior_entangling and peak > 0.5
-        checks += 1
-        if not ok:
-            failures += 1
+        tally.check(interior_entangling and peak > 0.5, **{f"max_entropy_d{d}": peak})
         if d == 2:
             midpoint = next(pt for pt in profile.points if pt.t == 0.5)
             oracle_u = sqrt_swap_oracle(d)
@@ -411,31 +367,15 @@ def suite_swap_obstruction(
                 for _, vec in same_inputs
             )
             deviation = abs(midpoint.max_entropy_bits - oracle_entropy)
-            worst_oracle = max(worst_oracle, deviation)
-            checks += 1
-            if deviation >= 1e-6:
-                failures += 1
-    return SuiteResult(
-        name="swap_obstruction",
-        claim="swap-obstruction",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={
-            "midpoint_oracle_deviation": worst_oracle,
-            "max_entropy_d2": max_entropy.get("d2", 0.0),
-            "max_entropy_d3": max_entropy.get("d3", 0.0),
-        },
-    )
+            tally.check(deviation < 1e-6, midpoint_oracle_deviation=deviation)
+    return tally.result()
 
 
 def suite_local_generator_null(
     seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """Local generators A⊗I + I⊗B never entangle anywhere along the path."""
-    checks = 0
-    failures = 0
-    worst_entropy = 0.0
+    tally = _Tally("local_generator_null", "swap-obstruction", profile_entropy=0.0)
     for n in range(50):
         d1 = (2, 2, 3, 3)[n % 4]
         d2 = (2, 3, 2, 3)[n % 4]
@@ -448,19 +388,9 @@ def suite_local_generator_null(
             path, probe_init, n_steps=16, seed=split_seed(seed, f"lg-{n}"), n_inputs=4, tol=tol
         )
         peak = profile.max_point().max_entropy_bits
-        worst_entropy = max(worst_entropy, peak)
         all_product = all(pt.verdict == "product" for pt in profile.points)
-        checks += 1
-        if peak >= 1e-9 or not all_product:
-            failures += 1
-    return SuiteResult(
-        name="local_generator_null",
-        claim="swap-obstruction",
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        worst={"profile_entropy": worst_entropy},
-    )
+        tally.check(peak < 1e-9 and all_product, profile_entropy=peak)
+    return tally.result()
 
 
 ALL_SUITES = (

@@ -32,6 +32,10 @@ def report():
     return suites
 
 
+def test_suite_names_follow_function_names(report):
+    assert list(report) == [fn.__name__.removeprefix("suite_") for fn in verify.ALL_SUITES]
+
+
 def _announce(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number} [{name}]: {status} {detail}")

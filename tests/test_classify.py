@@ -13,8 +13,6 @@ from entkit.classify import (
     brute_force_non_entangling,
     classify_slice,
     classify_unitary,
-    decompose_product,
-    decompose_swap,
     operator_schmidt_rank,
     realign,
     reconstruction_error,
@@ -121,42 +119,55 @@ class TestClassifyUnitary:
         assert reconstruction_error(form, u) < 1e-9
 
 
+def product_factors(u, d1, d2):
+    form = classify_unitary(u, d1, d2)
+    assert isinstance(form, Product)
+    return form.v, form.w
+
+
+def swap_factors(u, d):
+    form = classify_unitary(u, d, d)
+    assert isinstance(form, SwapForm)
+    return form.v21, form.w12
+
+
 class TestDecomposeProduct:
     def test_identity(self):
-        v, w = decompose_product(np.eye(4), 2, 2)
+        v, w = product_factors(np.eye(4), 2, 2)
         np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(w, np.eye(2), atol=1e-12)
 
     def test_x_tensor_z(self):
-        v, w = decompose_product(tensor_product(PAULI_X, PAULI_Z), 2, 2)
+        v, w = product_factors(tensor_product(PAULI_X, PAULI_Z), 2, 2)
         np.testing.assert_allclose(v, PAULI_X, atol=1e-12)
         np.testing.assert_allclose(w, PAULI_Z, atol=1e-12)
 
     def test_haar_round_trip_seed_8(self):
         u, _, _ = haar_product(3, 4, 8)
-        v, w = decompose_product(u, 3, 4)
+        v, w = product_factors(u, 3, 4)
         assert np.linalg.norm(u - tensor_product(v, w)) < 1e-9
 
     def test_factors_unitary(self):
         u, _, _ = haar_product(3, 2, 17)
-        v, w = decompose_product(u, 3, 2)
+        v, w = product_factors(u, 3, 2)
         assert np.linalg.norm(v.conj().T @ v - np.eye(3)) < 1e-10
         assert np.linalg.norm(w.conj().T @ w - np.eye(2)) < 1e-10
 
     def test_rejects_entangling(self):
+        assert isinstance(classify_unitary(cnot(), 2, 2), Entangling)
         with pytest.raises(NotProductFormError):
-            decompose_product(cnot(), 2, 2)
+            classify._split_rank_one(realign(cnot(), 2, 2), 2, 2, DEFAULT_TOL)
 
 
 class TestDecomposeSwap:
     def test_swap(self):
-        v21, w12 = decompose_swap(swap_unitary(3), 3)
+        v21, w12 = swap_factors(swap_unitary(3), 3)
         np.testing.assert_allclose(v21, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(w12, np.eye(3), atol=1e-12)
 
     def test_dressed_round_trip_seed_13(self):
         u, a, b = dressed_swap(2, 13)
-        v21, w12 = decompose_swap(u, 2)
+        v21, w12 = swap_factors(u, 2)
         assert np.linalg.norm(u - tensor_product(v21, w12) @ swap_unitary(2)) < 1e-9
         # factors match the construction up to a reciprocal phase
         overlap = abs(np.trace(a.conj().T @ v21))
@@ -164,12 +175,11 @@ class TestDecomposeSwap:
 
     def test_swap_times_local_phase(self):
         u = swap_unitary(2) @ tensor_product(np.diag([1.0, 1j]), np.eye(2))
-        v21, w12 = decompose_swap(u, 2)
+        v21, w12 = swap_factors(u, 2)
         assert np.linalg.norm(u - tensor_product(v21, w12) @ swap_unitary(2)) < 1e-9
 
     def test_rejects_product(self):
-        with pytest.raises(NotProductFormError):
-            decompose_swap(np.eye(4), 2)
+        assert isinstance(classify_unitary(np.eye(4), 2, 2), Product)
 
 
 class TestClassifySlice:

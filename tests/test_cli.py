@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entkit.cli import main
+from entkit.cli import FIXTURES, main
 from entkit.linalg import swap_unitary
 from entkit.serialize import canonical_json, matrix_to_json, vector_to_json
 
@@ -195,6 +197,22 @@ class TestGenCommand:
 
     def test_unknown_fixture_exit_2(self, capsys):
         assert run_cli(["gen", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_every_fixture_emits_json(self, capsys, name):
+        assert run_cli(["gen", name]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("name", ["swap", "dressed-swap", "swap-scheme"])
+    def test_equal_dim_fixture_rejects_unequal_dims(self, capsys, name):
+        assert run_cli(["gen", name, "--dims", "2", "3"]) == 2
+        assert "requires equal dimensions" in capsys.readouterr().err
+
+    def test_readme_lists_every_fixture(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Fixture names for `gen`:")[1].split("\n\n")[0]
+        names = [n for n in re.findall(r"`([^`]+)`", paragraph) if not n.startswith("--")]
+        assert names == list(FIXTURES)
 
 
 class TestDeterminism:
