@@ -102,16 +102,21 @@ def schmidt(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> SchmidtDecompositio
     r = min(psi.space.d1, psi.space.d2)
     left, right = [], []
     for k in range(r):
-        l = u[:, k]
-        rt = vh[k, :]
-        big = np.flatnonzero(np.abs(l) > tol.eps)
-        if big.size:
-            phase = np.exp(-1j * np.angle(l[big[0]]))
-            l = l * phase
-            rt = rt * np.conj(phase)
+        l, rt = _fix_phase(u[:, k], vh[k, :], tol)
         left.append(l)
         right.append(rt)
     return SchmidtDecomposition(s[:r].copy(), left, right)
+
+
+def _fix_phase(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Make a's first entry with modulus > tol.eps (row-major) real positive;
+    b takes the opposite phase, so the outer product of a and b is unchanged."""
+    flat = a.ravel()
+    big = np.flatnonzero(np.abs(flat) > tol.eps)
+    if big.size:
+        phase = np.exp(-1j * np.angle(flat[big[0]]))
+        return a * phase, b * np.conj(phase)
+    return a, b
 
 
 def schmidt_rank(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> int:

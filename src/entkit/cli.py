@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import fixtures, verify
+from . import __version__, fixtures, verify
 from .classify import (
     LocalOnObject,
     Product,
@@ -126,7 +126,7 @@ def _load_vector(path: str) -> np.ndarray:
 def _report_header(claim: str, args: argparse.Namespace) -> dict:
     return {
         "tool": "entkit",
-        "version": verify.VERSION,
+        "version": __version__,
         "claim": claim,
         "tol": args.tol.eps,
         "seed": args.seed,

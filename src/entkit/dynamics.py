@@ -10,11 +10,12 @@ through product-form unitaries alone, so interior points must entangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bipartite import BipartiteSpace, PureState, entanglement_entropy
-from .classify import classify_unitary, operator_schmidt_rank
+from .classify import classify_unitary
 from .errors import DimensionError
 from .linalg import (
     DEFAULT_SEED,
@@ -48,6 +49,12 @@ class UnitaryPath:
         object.__setattr__(self, "generator", g)
         object.__setattr__(self, "endpoint", e)
 
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        # The eigenpair exp_i_hermitian computes, once per path.
+        g = self.generator
+        return np.linalg.eigh((g + g.conj().T) / 2)
+
 
 def geodesic_path(
     endpoint: np.ndarray, d1: int, d2: int, tol: Tolerance = DEFAULT_TOL
@@ -66,12 +73,14 @@ def path_from_generator(h: np.ndarray, d1: int, d2: int) -> UnitaryPath:
 
 
 def path_point(p: UnitaryPath, t: float) -> np.ndarray:
-    """exp(i t generator); exactly the identity at t == 0."""
+    """exp(i t generator), bit-identical to exp_i_hermitian(generator, t) but
+    from the path's one eigendecomposition; exactly the identity at t == 0."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter {t} outside [0, 1]")
     if t == 0.0:
         return np.eye(p.space.dim, dtype=np.complex128)
-    return exp_i_hermitian(p.generator, t)
+    w, v = p._eigh
+    return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -158,7 +167,7 @@ def entanglement_profile(
                 max_entropy_bits=best_entropy,
                 maximizing_input_id=best_id,
                 maximizing_input=best_vec,
-                op_schmidt_rank=operator_schmidt_rank(u_t, d1, d2, tol),
+                op_schmidt_rank=form.op_schmidt_rank,
                 verdict=form.verdict,
             )
         )

@@ -23,10 +23,6 @@ class NormalizationError(ValueError):
     """Vector is not normalized within tolerance."""
 
 
-class NotProductFormError(ValueError):
-    """Decomposition requested for a unitary that is not of the required form."""
-
-
 class SliceHypothesisError(ValueError):
     """A probed slice input has a non-product image.
 

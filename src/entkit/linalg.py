@@ -93,18 +93,17 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff both ||U^†U - I||_F and ||UU^† - I||_F are within tol.eps."""
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise DimensionError(f"unitarity is defined for square matrices, got {u.shape}")
+    """True iff the square matrix u has unitarity defect within tol.eps."""
     return unitarity_defect(u) <= tol.eps
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max(||U^†U - I||_F, ||UU^† - I||_F)."""
+    """||U^†U - I||_F of a square U; equal to ||UU^† - I||_F, since both
+    are the norm of sigma_k^2 - 1 over the singular values of U."""
     u = as_matrix(u)
-    eye = np.eye(u.shape[0])
-    return max(frobenius(u.conj().T @ u - eye), frobenius(u @ u.conj().T - eye))
+    if u.shape[0] != u.shape[1]:
+        raise DimensionError(f"unitarity is defined for square matrices, got {u.shape}")
+    return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def unitary_log(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -247,14 +247,8 @@ def is_trivial_povm(
     Returns the scalars Tr E(X) / dim on success; their statistics carry no
     information about the measured state.
     """
-    scalars = []
-    worst = 0.0
-    for eff in e.effects:
-        lam = float(np.trace(eff).real) / e.dim
-        worst = max(worst, frobenius(eff - lam * np.eye(e.dim)))
-        scalars.append(lam)
-    if worst <= tol.eps:
-        return True, scalars
+    if triviality_deviation(e) <= tol.eps:
+        return True, [float(np.trace(eff).real) / e.dim for eff in e.effects]
     return False, None
 
 

@@ -52,9 +52,6 @@ from .measurement import (
     triviality_deviation,
 )
 
-VERSION = __version__
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -429,7 +426,7 @@ def run_all(seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL) -> dict:
             )
     return {
         "tool": "entkit",
-        "version": VERSION,
+        "version": __version__,
         "seed": seed,
         "tol": tol.eps,
         "suites": [s.to_json() for s in suites],

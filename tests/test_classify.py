@@ -19,11 +19,19 @@ from entkit.classify import (
 )
 from entkit.errors import (
     NonUnitaryError,
-    NotProductFormError,
     SliceHypothesisError,
 )
 from entkit.fixtures import PAULI_X, PAULI_Z, cnot, controlled_phase, dressed_swap, haar_product
-from entkit.linalg import DEFAULT_TOL, haar_unitary, random_state, rng_from_seed, swap_unitary, tensor_product
+from entkit.linalg import (
+    DEFAULT_TOL,
+    exp_i_hermitian,
+    haar_unitary,
+    random_hermitian,
+    random_state,
+    rng_from_seed,
+    swap_unitary,
+    tensor_product,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 E2 = np.eye(2)
@@ -155,8 +163,80 @@ class TestDecomposeProduct:
 
     def test_rejects_entangling(self):
         assert isinstance(classify_unitary(cnot(), 2, 2), Entangling)
-        with pytest.raises(NotProductFormError):
-            classify._split_rank_one(realign(cnot(), 2, 2), 2, 2, DEFAULT_TOL)
+
+
+def _svd_split(r, d1, d2):
+    """Reference: the factors of the leading singular pair of R, scaled to
+    unitary norm (the phase convention does not change the product)."""
+    u_s, s, vh = np.linalg.svd(r)
+    v, w = u_s[:, 0].reshape(d1, d1), (s[0] * vh[0, :]).reshape(d2, d2)
+    alpha = np.sqrt(d1) / np.linalg.norm(v)
+    return v * alpha, w / alpha
+
+
+# Haar products, then U0 exp(i delta H), whose realignment is rank one only
+# up to delta.
+NEAR_PRODUCTS = {
+    **{f"haar-{d1}x{d2}": (haar_product(d1, d2, d1 * d2)[0], d1, d2)
+       for d1, d2 in ((2, 2), (2, 3), (3, 2), (4, 4), (5, 3), (8, 8), (16, 16))},
+    **{f"delta-{delta:g}": (haar_product(3, 3, 7)[0] @ exp_i_hermitian(random_hermitian(9, 8), delta), 3, 3)
+       for delta in (1e-12, 1e-11, 1e-10, 1e-9)},
+}
+
+
+class TestSplitRankOne:
+    @pytest.mark.parametrize("case", sorted(NEAR_PRODUCTS))
+    def test_no_worse_than_svd_split(self, case):
+        u, d1, d2 = NEAR_PRODUCTS[case]
+        r = realign(u, d1, d2)
+        v, w = classify._split_rank_one(r, d1, d2, DEFAULT_TOL)
+        ref_v, ref_w = _svd_split(r, d1, d2)
+        err = np.linalg.norm(u - np.kron(v, w))
+        ref = np.linalg.norm(u - np.kron(ref_v, ref_w))
+        assert err <= 1.01 * ref + 1e-15, (err, ref)
+
+
+class TestDecompositionCounts:
+    @pytest.mark.parametrize(
+        "u, d, svds",
+        [
+            (haar_product(3, 3, 5)[0], 3, 1),
+            (dressed_swap(3, 6)[0], 3, 2),
+            (haar_unitary(9, 7), 3, 2),
+        ],
+        ids=["product", "dressed-swap", "entangling"],
+    )
+    def test_one_realignment_svd_per_rank_test(self, monkeypatch, u, d, svds):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            if a.ndim == 2:  # the witness engine's stacked SVDs are 3-D
+                calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        classify_unitary(u, d, d)
+        assert calls == [(d * d, d * d)] * svds
+
+
+class TestOperatorSchmidtRankField:
+    @pytest.mark.parametrize(
+        "u, d1, d2, kind",
+        [
+            (haar_product(2, 3, 1)[0], 2, 3, Product),
+            (swap_unitary(3), 3, 3, SwapForm),
+            (dressed_swap(2, 2)[0], 2, 2, SwapForm),
+            (cnot(), 2, 2, Entangling),
+            (controlled_phase(np.pi / 3, 3, 3), 3, 3, Entangling),
+            (haar_unitary(6, 3), 2, 3, Entangling),
+        ],
+        ids=["product", "swap", "dressed-swap", "cnot", "cphase-3x3", "haar-2x3"],
+    )
+    def test_field_is_rank_of_u(self, u, d1, d2, kind):
+        form = classify_unitary(u, d1, d2)
+        assert isinstance(form, kind)
+        assert form.op_schmidt_rank == operator_schmidt_rank(u, d1, d2)
 
 
 class TestDecomposeSwap:

@@ -161,6 +161,12 @@ class TestPathCommand:
         assert len(lines) == 10
         assert lines[1].startswith("0.0,")
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1)])
+    def test_non_square_exit_2(self, tmp_path, capsys, shape):
+        path = write_json(tmp_path / "m.json", matrix_to_json(np.eye(*shape)))
+        assert run_cli(["path", path, "--dims", "1", "2"]) == 2
+        assert "square" in capsys.readouterr().err
+
     def test_json_out_writes_csv_sibling(self, tmp_path, capsys):
         path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         out = tmp_path / "profile.json"

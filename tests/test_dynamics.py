@@ -14,6 +14,7 @@ from entkit.dynamics import (
 from entkit.errors import NonUnitaryError
 from entkit.fixtures import cnot, haar_product
 from entkit.linalg import (
+    exp_i_hermitian,
     random_hermitian,
     random_state,
     swap_unitary,
@@ -85,6 +86,19 @@ class TestPathPoint:
         with pytest.raises(ValueError):
             path_point(path, 1.5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: geodesic_path(haar_product(2, 3, 5)[0] @ np.diag(np.exp(1j * np.arange(6))), 2, 3),
+            lambda: path_from_generator(random_hermitian(6, 9, scale=2.0), 3, 2),
+        ],
+        ids=["geodesic", "generator"],
+    )
+    def test_bit_identical_to_exp_i_hermitian(self, make):
+        path = make()
+        for t in (1e-3, 0.25, 0.5, 0.7, 1.0):
+            np.testing.assert_array_equal(path_point(path, t), exp_i_hermitian(path.generator, t))
+
     @given(seeds, st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=25, deadline=None)
     def test_group_property(self, seed, s):
@@ -97,6 +111,14 @@ class TestPathPoint:
 
 
 class TestEntanglementProfile:
+    def test_one_eigh_per_path(self, monkeypatch):
+        path = geodesic_path(swap_unitary(2), 2, 2)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        entanglement_profile(path, E2[0], n_steps=64)
+        assert len(calls) <= 1
+
     def test_constant_path_all_zero(self):
         path = geodesic_path(np.eye(4), 2, 2)
         profile = entanglement_profile(path, E2[0], n_steps=8, seed=1, n_inputs=4)

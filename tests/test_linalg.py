@@ -16,6 +16,7 @@ from entkit.linalg import (
     random_state,
     swap_unitary,
     tensor_product,
+    unitarity_defect,
     unitary_log,
 )
 
@@ -121,6 +122,13 @@ class TestIsUnitary:
         with pytest.raises(DimensionError):
             is_unitary(np.ones((2, 3)))
 
+    def test_defect_is_symmetric(self):
+        m = np.random.default_rng(3).standard_normal((5, 5)) * (1 + 0.5j)
+        eye = np.eye(5)
+        defect = unitarity_defect(m)
+        assert abs(defect - np.linalg.norm(m @ m.conj().T - eye)) < 1e-12 * defect
+        assert abs(defect - np.linalg.norm(m.conj().T @ m - eye)) < 1e-12 * defect
+
 
 class TestUnitaryLog:
     def test_identity(self):
@@ -148,6 +156,11 @@ class TestUnitaryLog:
     def test_not_unitary_raises(self):
         with pytest.raises(NonUnitaryError):
             unitary_log(np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(DimensionError):
+            unitary_log(np.eye(*shape))
 
     @given(seeds, st.integers(min_value=2, max_value=8))
     @settings(max_examples=40, deadline=None)
