@@ -8,13 +8,14 @@ that must build up along any continuous path reaching a swap coupling.
 
 # The single version string: pyproject reads it, and reports embed it. It
 # is bumped whenever reports for a given seed can change.
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bipartite import (
     BipartiteSpace,
     DensityOperator,
     PureState,
     SchmidtDecomposition,
+    entanglement_entropies,
     entanglement_entropy,
     is_product,
     partial_trace,

@@ -109,14 +109,32 @@ def schmidt(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> SchmidtDecompositio
 
 
 def _fix_phase(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Make a's first entry with modulus > tol.eps (row-major) real positive;
-    b takes the opposite phase, so the outer product of a and b is unchanged."""
+    """Make a's first entry with modulus > tol.eps (row-major) real positive,
+    exactly its modulus; b takes the opposite phase, so the outer product of
+    a and b is unchanged.
+
+    The rotations are done in real arithmetic, so factor pairs that differ
+    by an exact unit phase (g a, b / g), g in {±1, ±i}, come out bit-identical.
+    """
     flat = a.ravel()
     big = np.flatnonzero(np.abs(flat) > tol.eps)
-    if big.size:
-        phase = np.exp(-1j * np.angle(flat[big[0]]))
-        return a * phase, b * np.conj(phase)
-    return a, b
+    if not big.size:
+        return a, b
+    pivot = flat[big[0]]
+    modulus = abs(pivot)
+    c, s = pivot.real / modulus, pivot.imag / modulus
+    a_out = _rotate(a, c, -s)
+    a_out.flat[big[0]] = modulus
+    return a_out, _rotate(b, c, s)
+
+
+def _rotate(z: np.ndarray, c: float, s: float) -> np.ndarray:
+    """z * (c + i s) from separate real products and sums; a complex multiply
+    may fuse them, which makes the rounding depend on the operand order."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = z.real * c - z.imag * s
+    out.imag = z.real * s + z.imag * c
+    return out
 
 
 def schmidt_rank(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -150,12 +168,32 @@ def partial_trace(
     return DensityOperator(space.d2, np.einsum("ijil->jl", t))
 
 
-def entanglement_entropy(psi: PureState) -> float:
-    """Entropy of the squared Schmidt coefficients, in bits; 0 on products."""
-    s = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
+def entanglement_entropies(space: BipartiteSpace, vecs: np.ndarray) -> np.ndarray:
+    """Entanglement entropy in bits of each row of vecs, an (n, space.dim)
+    stack of pure-state vectors; +0.0 on products.
+
+    Every row must pass PureState's check, ||v|| within 1e-6 of 1, else
+    NormalizationError; a row with a non-finite entry fails it too.
+    """
+    vecs = np.ascontiguousarray(vecs, dtype=np.complex128)
+    if vecs.ndim != 2 or vecs.shape[1] != space.dim:
+        raise DimensionError(f"state stack shape {vecs.shape} != (n, {space.dim})")
+    # The norm of the real view: an infinite entry gives an infinite norm
+    # where the complex product inf * conj(inf) would warn and give NaN.
+    norms = np.linalg.norm(vecs.view(np.float64), axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))
+    if bad.size:
+        raise NormalizationError(f"state {bad[0]} has norm {norms[bad[0]]}, not 1")
+    s = np.linalg.svd(vecs.reshape(-1, space.d1, space.d2), compute_uv=False)
     p = s * s
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    # 0.0 - x, not -x: an exact product gives +0.0 rather than -0.0.
+    return 0.0 - (p * log_p).sum(axis=1)
+
+
+def entanglement_entropy(psi: PureState) -> float:
+    """Entropy of the squared Schmidt coefficients, in bits; +0.0 on products."""
+    return float(entanglement_entropies(psi.space, psi.vec[None, :])[0])
 
 
 def _canonical_sign(d: np.ndarray) -> np.ndarray:

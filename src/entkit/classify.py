@@ -6,7 +6,8 @@ composed with the canonical swap. The decision procedure here is spectral:
 ``U = V ⊗ W`` iff the realignment (operator-Schmidt reshuffle) of U has rank
 one, and the swap form is detected the same way on ``U @ SWAP``. Each rank
 test is one SVD of a realignment; the factors are then read off the rank-one
-realignment itself, without a second SVD.
+realignment itself, without a second SVD. The test on ``U @ SWAP`` runs only
+when the singular values of R(U), which a swap form pins near 1, allow it.
 
 ``classify_slice`` is different in character: it follows the constructive
 case analysis for a single fixed probe vector, where the image factors of an
@@ -129,14 +130,52 @@ def realign(u: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return u.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
 
 
+def _realigned_rank(
+    u: np.ndarray, d1: int, d2: int, tol: Tolerance
+) -> tuple[np.ndarray, int]:
+    """Descending singular values of the realignment and the rank they give:
+    those > tol.eps * sigma_max count."""
+    s = np.linalg.svd(realign(u, d1, d2), compute_uv=False)
+    if s[0] == 0:
+        return s, 0
+    return s, int(np.count_nonzero(s > tol.eps * s[0]))
+
+
 def operator_schmidt_rank(
     u: np.ndarray, d1: int, d2: int, tol: Tolerance = DEFAULT_TOL
 ) -> int:
     """Rank of the realignment; singular values count when > tol.eps * sigma_max."""
-    s = np.linalg.svd(realign(u, d1, d2), compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > tol.eps * s[0]))
+    return _realigned_rank(u, d1, d2, tol)[1]
+
+
+def _may_be_swap_form(s: np.ndarray, d: int, tol: Tolerance) -> bool:
+    """False only when R(U·SWAP) cannot pass the rank-one test at tol, judged
+    from the descending singular values s of R(U) on a d x d space.
+
+    Write eps = tol.eps and g = eps * sqrt(d² - 1) * ||U||_F. Suppose
+    R(U·SWAP) passes: sigma_1 <= eps * sigma_0. Its best rank-one part is
+    R(A⊗B) and the rest has d² - 1 singular values <= sigma_1, so
+    U·SWAP = A⊗B + G with ||G||_F <= sqrt(d² - 1) * sigma_1 <= g
+    (sigma_0 <= ||R||_F = ||U||_F, and realignment keeps Frobenius norms).
+    The unitarity check gives |sigma_k(U)² - 1| <= eps, so by Weyl's
+    inequality every singular value of A⊗B lies in
+    [sqrt(1 - eps) - g, sqrt(1 + eps) + g]. Local unitaries preserve
+    operator-Schmidt coefficients and SWAP's are all 1, so the singular
+    values of R((A⊗B)·SWAP) are the products sigma_i(A) sigma_j(B), which
+    are the singular values of A⊗B. Then U = (A⊗B)·SWAP + G·SWAP, and
+    Weyl's inequality once more puts every s_k in
+    [sqrt(1 - eps) - 2g, sqrt(1 + eps) + 2g].
+
+    The interval is widened by 16 d² e s_0 (e = 2.2e-16, the float64
+    machine epsilon) for the rounding of both SVDs and of the unitarity
+    check. For eps >= 1 the bound is void and the answer is always True.
+    """
+    eps = tol.eps
+    if eps >= 1.0:
+        return True
+    g = eps * np.sqrt(d * d - 1) * np.sqrt(np.sum(s * s))
+    slack = 2 * g + 16 * d * d * np.finfo(float).eps * s[0]
+    return bool(s[-1] >= np.sqrt(1 - eps) - slack and s[0] <= np.sqrt(1 + eps) + slack)
 
 
 def _split_rank_one(r: np.ndarray, d1: int, d2: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -270,12 +309,12 @@ def classify_unitary(
     carries the operator-Schmidt rank of U it was decided from.
     """
     u = _check_bipartite_unitary(u, d1, d2, tol)
-    rank = operator_schmidt_rank(u, d1, d2, tol)
+    s, rank = _realigned_rank(u, d1, d2, tol)
     if rank == 1:
         return Product(*_split_rank_one(realign(u, d1, d2), d1, d2, tol))
-    if d1 == d2:
+    if d1 == d2 and _may_be_swap_form(s, d1, tol):
         swapped = _swap_columns(u, d1)
-        if operator_schmidt_rank(swapped, d1, d2, tol) == 1:
+        if _realigned_rank(swapped, d1, d2, tol)[1] == 1:
             return SwapForm(*_split_rank_one(realign(swapped, d1, d1), d1, d1, tol), rank)
     hit = _find_witness(u, d1, d2, 10 * tol.eps, seed, WITNESS_SAMPLES)
     if hit is not None:

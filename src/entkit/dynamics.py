@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, PureState, entanglement_entropy
+from .bipartite import BipartiteSpace, PureState, entanglement_entropies
 from .classify import classify_unitary
 from .errors import DimensionError
 from .linalg import (
@@ -148,25 +148,21 @@ def entanglement_profile(
     if probe_init.size != d2:
         raise DimensionError(f"probe_init dimension {probe_init.size} != d2 {d2}")
     inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
+    vecs = np.stack([vec for _, vec in inputs])
     points = []
     for k in range(n_steps + 1):
         t = k / n_steps
         u_t = path_point(p, t)
-        best_entropy = -1.0
-        best_id = inputs[0][0]
-        best_vec = inputs[0][1]
-        for input_id, vec in inputs:
-            image = PureState(p.space, u_t @ vec)
-            entropy = entanglement_entropy(image)
-            if entropy > best_entropy:
-                best_entropy, best_id, best_vec = entropy, input_id, vec
+        entropies = entanglement_entropies(p.space, vecs @ u_t.T)
+        # argmax takes the first maximum, as a strict > scan over the inputs would.
+        best = int(np.argmax(entropies))
         form = classify_unitary(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}"))
         points.append(
             ProfilePoint(
                 t=t,
-                max_entropy_bits=best_entropy,
-                maximizing_input_id=best_id,
-                maximizing_input=best_vec,
+                max_entropy_bits=float(entropies[best]),
+                maximizing_input_id=inputs[best][0],
+                maximizing_input=inputs[best][1],
                 op_schmidt_rank=form.op_schmidt_rank,
                 verdict=form.verdict,
             )

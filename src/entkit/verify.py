@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, fixtures
-from .bipartite import entanglement_entropy, PureState
+from .bipartite import entanglement_entropies
 from .classify import (
     Product,
     SwapForm,
@@ -356,13 +356,10 @@ def suite_swap_obstruction(
         if d == 2:
             midpoint = next(pt for pt in profile.points if pt.t == 0.5)
             oracle_u = sqrt_swap_oracle(d)
-            same_inputs = profile_inputs(
-                d, d, probe_init, split_seed(seed, f"ob-{d}"), 8
-            )
-            oracle_entropy = max(
-                entanglement_entropy(PureState(path.space, oracle_u @ vec))
-                for _, vec in same_inputs
-            )
+            same_inputs = np.stack([
+                vec for _, vec in profile_inputs(d, d, probe_init, split_seed(seed, f"ob-{d}"), 8)
+            ])
+            oracle_entropy = float(entanglement_entropies(path.space, same_inputs @ oracle_u.T).max())
             deviation = abs(midpoint.max_entropy_bits - oracle_entropy)
             tally.check(deviation < 1e-6, midpoint_oracle_deviation=deviation)
     return tally.result()

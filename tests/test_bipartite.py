@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from entkit.bipartite import (
     BipartiteSpace,
     DensityOperator,
     PureState,
+    _fix_phase,
+    entanglement_entropies,
     entanglement_entropy,
     is_product,
     partial_trace,
@@ -17,6 +21,7 @@ from entkit.bipartite import (
 from entkit.errors import DimensionError, NormalizationError
 from entkit.fixtures import cnot
 from entkit.linalg import Tolerance, haar_unitary, random_state, tensor_product
+from entkit.serialize import canonical_json, matrix_to_json
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -126,6 +131,25 @@ class TestIsProduct:
         np.testing.assert_allclose(np.kron(factors[0], factors[1]), psi.vec, atol=1e-12)
 
 
+class TestPhaseConvention:
+    # diag(i, 1) takes the pivot A[0, 0] off the real axis.
+    A = np.diag([1j, 1.0]) @ haar_unitary(2, 3)
+    B = haar_unitary(3, 4)
+
+    def test_pivot_is_exactly_its_modulus(self):
+        a, _ = _fix_phase(self.A, self.B, Tolerance())
+        assert a[0, 0].imag == 0.0
+        assert a[0, 0].real == abs(self.A[0, 0])
+
+    @pytest.mark.parametrize("g", [-1, 1j, -1j])
+    def test_unit_phase_factorisations_serialise_identically(self, g):
+        tol = Tolerance()
+        ref = _fix_phase(self.A, self.B, tol)
+        got = _fix_phase(g * self.A, self.B * np.conj(g), tol)
+        for x, y in zip(ref, got):
+            assert canonical_json(matrix_to_json(x)) == canonical_json(matrix_to_json(y))
+
+
 class TestPartialTrace:
     def test_product_marginal(self):
         rho1 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
@@ -153,7 +177,8 @@ class TestPartialTrace:
 
 class TestEntanglementEntropy:
     def test_product_zero(self):
-        assert entanglement_entropy(product_state(E2[0], E2[1])) == 0.0
+        h = entanglement_entropy(product_state(E2[0], E2[1]))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_bell_one_bit(self):
         assert abs(entanglement_entropy(bell_state()) - 1.0) < 1e-12
@@ -191,6 +216,32 @@ class TestEntanglementEntropy:
             # entropy of a state with second Schmidt coefficient eps is
             # bounded by the binary entropy scale of eps^2
             assert ok == (entanglement_entropy(psi) < 1e-15)
+
+
+class TestEntanglementEntropies:
+    def test_matches_per_state_entropy(self):
+        states = [random_state(12, s) for s in range(20)]
+        states += [np.kron(random_state(3, s), random_state(4, s + 100)) for s in range(20)]
+        space = BipartiteSpace(3, 4)
+        batch = entanglement_entropies(space, np.stack(states))
+        for h, vec in zip(batch, states):
+            assert abs(h - entanglement_entropy(PureState(space, vec))) <= 1e-15
+
+    def test_product_and_bell(self):
+        pair = np.stack([product_state(E2[0], E2[1]).vec, BELL])
+        product, bell = entanglement_entropies(BipartiteSpace(2, 2), pair)
+        assert product == 0.0 and math.copysign(1.0, product) == 1.0
+        assert abs(bell - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan, np.inf])
+    def test_non_unit_row_rejected(self, bad):
+        vecs = np.stack([random_state(4, 1), random_state(4, 2) * bad])
+        with pytest.raises(NormalizationError):
+            entanglement_entropies(BipartiteSpace(2, 2), vecs)
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionError):
+            entanglement_entropies(BipartiteSpace(2, 3), np.stack([random_state(4, 1)]))
 
 
 class TestTraceDistance:

@@ -17,13 +17,24 @@ from entkit.classify import (
     realign,
     reconstruction_error,
 )
+from entkit.dynamics import geodesic_path, path_point
 from entkit.errors import (
     NonUnitaryError,
     SliceHypothesisError,
+    WitnessSearchError,
 )
-from entkit.fixtures import PAULI_X, PAULI_Z, cnot, controlled_phase, dressed_swap, haar_product
+from entkit.fixtures import (
+    PAULI_X,
+    PAULI_Z,
+    cnot,
+    controlled_phase,
+    dressed_swap,
+    haar_product,
+    random_diagonal_coupling,
+)
 from entkit.linalg import (
     DEFAULT_TOL,
+    Tolerance,
     exp_i_hermitian,
     haar_unitary,
     random_hermitian,
@@ -140,6 +151,11 @@ def swap_factors(u, d):
 
 
 class TestDecomposeProduct:
+    def test_pivot_exactly_real_positive(self):
+        u = tensor_product(np.diag([1j, 1.0]) @ haar_unitary(2, 3), haar_unitary(3, 4))
+        v = classify_unitary(u, 2, 3).v
+        assert v[0, 0].imag == 0.0 and v[0, 0].real > 0
+
     def test_identity(self):
         v, w = product_factors(np.eye(4), 2, 2)
         np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
@@ -202,22 +218,84 @@ class TestDecompositionCounts:
         [
             (haar_product(3, 3, 5)[0], 3, 1),
             (dressed_swap(3, 6)[0], 3, 2),
-            (haar_unitary(9, 7), 3, 2),
+            # R(U)'s spectrum rules out a swap form: no SVD of R(U·SWAP).
+            (haar_unitary(9, 7), 3, 1),
         ],
         ids=["product", "dressed-swap", "entangling"],
     )
-    def test_one_realignment_svd_per_rank_test(self, monkeypatch, u, d, svds):
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(a, *args, **kwargs):
-            if a.ndim == 2:  # the witness engine's stacked SVDs are 3-D
-                calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+    def test_one_realignment_svd_per_rank_test(self, realignment_svds, u, d, svds):
         classify_unitary(u, d, d)
-        assert calls == [(d * d, d * d)] * svds
+        assert realignment_svds == [(d * d, d * d)] * svds
+
+
+def _form_key(form):
+    """Verdict, rank and the bytes of every array a form carries."""
+    if isinstance(form, Product):
+        arrays = (form.v, form.w)
+    elif isinstance(form, SwapForm):
+        arrays = (form.v21, form.w12)
+    else:
+        arrays = (form.witness.vec, form.input.vec, np.float64(form.second_coeff))
+    return form.verdict, form.op_schmidt_rank, tuple(a.tobytes() for a in arrays)
+
+
+def _outcome(u, d, tol):
+    try:
+        return _form_key(classify_unitary(u, d, d, tol, seed=11))
+    except WitnessSearchError:
+        return "WitnessSearchError"
+
+
+def _pre_test_sweep():
+    """Dressed swaps U0·exp(iδH) across δ, Haar and diagonal couplings, and
+    points of the SWAP geodesic, some within 1e-9 of SWAP."""
+    cases = []
+    for d in (2, 3, 4):
+        u0, _, _ = dressed_swap(d, 40 + d)
+        h = random_hermitian(d * d, 50 + d)
+        for delta in np.logspace(-12, -2, 11):
+            cases.append((f"dressed-swap:{d}:{delta:.0e}", d, u0 @ exp_i_hermitian(h, delta)))
+        cases.append((f"haar:{d}", d, haar_unitary(d * d, 60 + d)))
+        cases.append((f"diagonal:{d}", d, random_diagonal_coupling(d, d, 70 + d)))
+        path = geodesic_path(swap_unitary(d), d, d)
+        for t in (0.25, 0.5, 63 / 64, 1 - 1e-6, 1 - 1e-9, 1.0):
+            cases.append((f"swap-geodesic:{d}:{t}", d, path_point(path, t)))
+    return cases
+
+
+class TestSwapPreTest:
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3, 0.5])
+    def test_same_form_as_always_running_the_swap_svd(self, monkeypatch, eps):
+        tol = Tolerance(eps)
+        cases = _pre_test_sweep()
+        answers = []
+        pre_test = classify._may_be_swap_form
+
+        def recorded(s, d, tol):
+            answers.append(pre_test(s, d, tol))
+            return answers[-1]
+
+        monkeypatch.setattr(classify, "_may_be_swap_form", recorded)
+        fast = [_outcome(u, d, tol) for _, d, u in cases]
+        monkeypatch.setattr(classify, "_may_be_swap_form", lambda s, d, tol: True)
+        reference = [_outcome(u, d, tol) for _, d, u in cases]
+        for (label, _, _), got, want in zip(cases, fast, reference):
+            assert got == want, label
+        # The sweep reaches swap verdicts and, below eps = 0.5, skipped SVDs.
+        assert any(key[0] == "swap" for key in fast)
+        assert (False in answers) == (eps < 0.5)
+
+    def test_dressed_swaps_always_pass(self):
+        for d in (2, 3, 4):
+            for seed in range(20):
+                u, _, _ = dressed_swap(d, seed)
+                s = np.linalg.svd(realign(u, d, d), compute_uv=False)
+                assert classify._may_be_swap_form(s, d, DEFAULT_TOL)
+
+    def test_void_for_eps_at_least_one(self):
+        s = np.linalg.svd(realign(haar_unitary(9, 7), 3, 3), compute_uv=False)
+        assert not classify._may_be_swap_form(s, 3, DEFAULT_TOL)
+        assert classify._may_be_swap_form(s, 3, Tolerance(1.0))
 
 
 class TestOperatorSchmidtRankField:

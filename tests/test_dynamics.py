@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit.bipartite import BipartiteSpace, PureState, entanglement_entropy
+from entkit.classify import classify_unitary
 from entkit.dynamics import (
     entanglement_profile,
     geodesic_path,
@@ -17,6 +18,7 @@ from entkit.linalg import (
     exp_i_hermitian,
     random_hermitian,
     random_state,
+    split_seed,
     swap_unitary,
     tensor_product,
 )
@@ -110,7 +112,45 @@ class TestPathPoint:
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
 
+def _reference_profile(path, probe_init, n_steps, seed, n_inputs):
+    """Input ids, and per grid point each input's image entropy from its own
+    SVD, in input order, with the rank and verdict of U_t."""
+    d1, d2 = path.space.d1, path.space.d2
+    inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
+    points = []
+    for k in range(n_steps + 1):
+        u_t = path_point(path, k / n_steps)
+        entropies = []
+        for _, vec in inputs:
+            s = np.linalg.svd((u_t @ vec).reshape(d1, d2), compute_uv=False)
+            p = s[s > 0] ** 2
+            entropies.append(float(-(p * np.log2(p)).sum()))
+        form = classify_unitary(u_t, d1, d2, seed=split_seed(seed, f"verdict-{k}"))
+        points.append((entropies, form.op_schmidt_rank, form.verdict))
+    return [input_id for input_id, _ in inputs], points
+
+
 class TestEntanglementProfile:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_per_input_reference_loop(self, d):
+        path = geodesic_path(swap_unitary(d), d, d)
+        probe = np.eye(d)[0]
+        profile = entanglement_profile(path, probe, n_steps=64, seed=9, n_inputs=8)
+        ids, reference = _reference_profile(path, probe, 64, 9, 8)
+        for pt, (entropies, rank, verdict) in zip(profile.points, reference):
+            top = sorted(entropies, reverse=True)
+            assert abs(pt.max_entropy_bits - top[0]) <= 1e-12
+            assert (pt.op_schmidt_rank, pt.verdict) == (rank, verdict)
+            if top[0] - top[1] > 1e-12:
+                assert pt.maximizing_input_id == ids[int(np.argmax(entropies))]
+
+    def test_realignment_svds_per_profile(self, realignment_svds):
+        path = geodesic_path(swap_unitary(3), 3, 3)
+        entanglement_profile(path, np.eye(3)[0], n_steps=64)
+        # One per grid point, and a second only at t = 1, where U_t is SWAP:
+        # inside the path R(U_t)'s spectrum rules a swap form out.
+        assert realignment_svds == [(9, 9)] * 66
+
     def test_one_eigh_per_path(self, monkeypatch):
         path = geodesic_path(swap_unitary(2), 2, 2)
         calls = []
