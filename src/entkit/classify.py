@@ -38,7 +38,10 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
+    probe_states,
+    require_unit,
     rng_from_seed,
+    slice_map,
     tensor_product,
     unitarity_defect,
 )
@@ -218,12 +221,6 @@ def _grid_factors(d: int) -> np.ndarray:
     return f
 
 
-def _random_factors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n unit-norm rows with complex Gaussian entries."""
-    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _first_hit(
     images: Callable[[int, int], np.ndarray], n: int, d1: int, d2: int, margin: float
 ) -> tuple[int, float] | None:
@@ -279,8 +276,8 @@ def _find_witness(
         return left[c // n2], right[c % n2], coeff
 
     rng = rng_from_seed(seed)
-    a = _random_factors(rng, n_samples, d1)
-    b = _random_factors(rng, n_samples, d2)
+    _, a = probe_states(d1, rng, n_samples, grid=False)
+    _, b = probe_states(d2, rng, n_samples, grid=False)
 
     def random_images(start: int, stop: int) -> np.ndarray:
         inputs = (a[start:stop, :, None] * b[start:stop, None, :]).reshape(stop - start, dim)
@@ -361,17 +358,26 @@ def brute_force_non_entangling(
 
 
 def _factor_slice_image(
-    u: np.ndarray, space: BipartiteSpace, phi0: np.ndarray, vec: np.ndarray,
-    tol: Tolerance, indices: tuple[int, ...],
+    space: BipartiteSpace, b: np.ndarray, tol: Tolerance, indices: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    image = PureState(space, u @ np.kron(vec, phi0))
-    ok, factors = is_product(image, tol)
+    """Factors of U(e ⊗ phi0), e the normalized sum of the indexed basis vectors."""
+    image = b[:, indices].sum(axis=1) / np.sqrt(len(indices))
+    ok, factors = is_product(PureState(space, image), tol)
     if not ok:
         label = "basis vector" if len(indices) == 1 else "superposition of basis vectors"
         raise SliceHypothesisError(
             f"image of {label} {indices} ⊗ phi0 is not a product state", indices
         )
     return factors
+
+
+def _slice_prediction(form: SliceForm) -> np.ndarray:
+    """The form as a slice map: column i is V e_i ⊗ phi' or phi' ⊗ W12 e_i."""
+    if isinstance(form, LocalOnObject):
+        p = form.v[:, None, :] * form.phi_prime[None, :, None]
+    else:
+        p = form.phi_prime[:, None, None] * form.w12[None, :, :]
+    return p.reshape(-1, p.shape[2])
 
 
 def classify_slice(
@@ -394,16 +400,15 @@ def classify_slice(
     phi0 = as_vector(phi0)
     if phi0.size != d2:
         raise DimensionError(f"phi0 has dimension {phi0.size}, probe space needs {d2}")
-    if abs(np.linalg.norm(phi0) - 1.0) > max(tol.eps, 1e-9):
-        raise ValueError("phi0 must be a unit vector")
+    require_unit(phi0, tol, "phi0")
     space = BipartiteSpace(d1, d2)
-    eye = np.eye(d1)
+    b = slice_map(u, d1, d2, phi0)
 
     lefts, rights = [], []
     for i in range(d1):
-        a, b = _factor_slice_image(u, space, phi0, eye[i], tol, (i,))
-        lefts.append(a)
-        rights.append(b)
+        left, right = _factor_slice_image(space, b, tol, (i,))
+        lefts.append(left)
+        rights.append(right)
 
     if d1 == 1:
         # Single basis vector: the slice is a local phase on the object.
@@ -420,8 +425,7 @@ def classify_slice(
         if lo <= decide_tol and ro <= decide_tol:
             # Both orthogonal: the pair superposition cannot have a product
             # image; surface it as a hypothesis violation with evidence.
-            sup = (eye[0] + eye[i]) / np.sqrt(2)
-            _factor_slice_image(u, space, phi0, sup, tol, (0, i))
+            _factor_slice_image(space, b, tol, (0, i))
             raise SlicePatternError(
                 f"pair (0, {i}): both factor overlaps below {decide_tol:.1e} "
                 "yet the superposition image is product; tolerance breakdown"
@@ -459,23 +463,22 @@ def classify_slice(
         iso = w12
 
     # Superposition consistency: the assembled form must predict the images
-    # of (e_i + e_j)/sqrt(2) ⊗ phi0 as well. A deviating pair whose image is
-    # itself non-product is a hypothesis violation, not numerical breakdown.
+    # of (e_i + e_j)/sqrt(2) ⊗ phi0 as well. Both sides are linear, so the
+    # deviation is (r_i + r_j)/sqrt(2) over the basis deviations r. A
+    # deviating pair whose image is itself non-product is a hypothesis
+    # violation, not numerical breakdown.
     check_tol = max(tol.eps, 1e-9)
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            sup = (eye[i] + eye[j]) / np.sqrt(2)
-            image = u @ np.kron(sup, phi0)
-            if isinstance(result, LocalOnObject):
-                predicted = np.kron(result.v @ sup, result.phi_prime)
-            else:
-                predicted = np.kron(result.phi_prime, result.w12 @ sup)
-            if np.linalg.norm(image - predicted) > check_tol:
-                _factor_slice_image(u, space, phi0, sup, tol, (i, j))
-                raise SlicePatternError(
-                    f"superposition ({i}, {j}) image deviates from the "
-                    "assembled form beyond tolerance"
-                )
+    r = b - _slice_prediction(result)
+    for i in range(d1 - 1):
+        deviation = np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2)
+        bad = np.flatnonzero(deviation > check_tol)
+        if bad.size:
+            j = i + 1 + int(bad[0])
+            _factor_slice_image(space, b, tol, (i, j))
+            raise SlicePatternError(
+                f"superposition ({i}, {j}) image deviates from the "
+                "assembled form beyond tolerance"
+            )
 
     iso_defect = frobenius(iso.conj().T @ iso - np.eye(d1))
     if iso_defect > max(tol.eps, 1e-9):
@@ -489,15 +492,5 @@ def slice_residual(
     form: SliceForm, u: np.ndarray, d1: int, d2: int, phi0: np.ndarray
 ) -> float:
     """Worst-case norm deviation of the form's prediction over an object basis."""
-    u = as_matrix(u)
-    phi0 = as_vector(phi0)
-    eye = np.eye(d1)
-    worst = 0.0
-    for i in range(d1):
-        image = u @ np.kron(eye[i], phi0)
-        if isinstance(form, LocalOnObject):
-            predicted = np.kron(form.v @ eye[i], form.phi_prime)
-        else:
-            predicted = np.kron(form.phi_prime, form.w12 @ eye[i])
-        worst = max(worst, float(np.linalg.norm(image - predicted)))
-    return worst
+    b = slice_map(as_matrix(u), d1, d2, as_vector(phi0))
+    return float(np.linalg.norm(b - _slice_prediction(form), axis=0).max())

@@ -214,15 +214,16 @@ def cmd_measure(args: argparse.Namespace) -> int:
         raise CliError(f"invalid scheme: {exc}", EXIT_BAD_INPUT) from exc
     phi = _load_vector(args.state)
     try:
-        scheme.check(args.tol)
         induced = measured_observable(scheme, args.tol)
         probs = outcome_probabilities(scheme, phi, args.tol)
         rho = DensityOperator.from_pure(phi)
         dist = disturbance(scheme, rho, args.tol)
     except InvalidPOVMError as exc:
         raise CliError(f"invalid POVM: {exc.report}", EXIT_HYPOTHESIS) from exc
+    except NonUnitaryError as exc:
+        raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
     except ValueError as exc:
-        # covers normalization, dimension and coupling-unitarity defects
+        # covers normalization and dimension defects
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     trivial, scalars = is_trivial_povm(induced, args.tol)
     report = _report_header("prob-reproducibility", args)

@@ -24,7 +24,8 @@ from .linalg import (
     as_matrix,
     as_vector,
     exp_i_hermitian,
-    random_state,
+    probe_states,
+    rng_from_seed,
     split_seed,
     unitary_log,
 )
@@ -110,19 +111,15 @@ def profile_inputs(
     d1: int, d2: int, probe_init: np.ndarray, seed: int, n_inputs: int
 ) -> list[tuple[str, np.ndarray]]:
     """Deterministic labeled input family probed along a path: object basis
-    vectors, pairwise superpositions, then seeded random product inputs."""
-    eye = np.eye(d1)
-    inputs = [(f"basis:{i}", np.kron(eye[i], probe_init)) for i in range(d1)]
-    inputs += [
-        (f"pair:{i}:{j}", np.kron((eye[i] + eye[j]) / np.sqrt(2), probe_init))
-        for i in range(d1)
-        for j in range(i + 1, d1)
-    ]
-    for k in range(n_inputs):
-        a = random_state(d1, split_seed(seed, f"profile-left-{k}"))
-        b = random_state(d2, split_seed(seed, f"profile-right-{k}"))
-        inputs.append((f"rand:{k}", np.kron(a, b)))
-    return inputs
+    vectors and pairwise superpositions ⊗ probe_init, then random products
+    a_k ⊗ b_k, all a_k then all b_k drawn by probe_states from ``seed``."""
+    rng = rng_from_seed(seed)
+    labels, left = probe_states(d1, rng, n_inputs)
+    _, right = probe_states(d2, rng, n_inputs, grid=False)
+    n_grid = len(labels) - n_inputs
+    right = np.concatenate([np.broadcast_to(probe_init, (n_grid, d2)), right])
+    vecs = (left[:, :, None] * right[:, None, :]).reshape(len(labels), d1 * d2)
+    return list(zip(labels, vecs))
 
 
 def entanglement_profile(

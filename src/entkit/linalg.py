@@ -14,7 +14,7 @@ import zlib
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NonUnitaryError
+from .errors import DimensionError, NonUnitaryError, NormalizationError
 
 # Default absolute tolerance for Frobenius-norm comparisons. Comfortably above
 # double-precision accumulation error at the dimensions this package targets
@@ -73,6 +73,13 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def require_unit(v: np.ndarray, tol: Tolerance, name: str) -> None:
+    """Raise NormalizationError unless | ||v|| - 1 | <= tol.eps."""
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > tol.eps:
+        raise NormalizationError(f"{name} norm {norm} is not 1")
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
     # Size the result from the shapes alone, before as_matrix copies the
@@ -104,6 +111,11 @@ def unitarity_defect(u: np.ndarray) -> float:
     if u.shape[0] != u.shape[1]:
         raise DimensionError(f"unitarity is defined for square matrices, got {u.shape}")
     return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+
+
+def slice_map(u: np.ndarray, d1: int, d2: int, phi0: np.ndarray) -> np.ndarray:
+    """B = U(I ⊗ φ0), the (d1*d2) x d1 map φ -> U(φ ⊗ φ0); column i is U(e_i ⊗ φ0)."""
+    return (u.reshape(-1, d2) @ phi0).reshape(d1 * d2, d1)
 
 
 def unitary_log(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -178,6 +190,23 @@ def random_state(d: int, seed: int) -> np.ndarray:
     rng = rng_from_seed(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def probe_states(
+    d: int, rng: np.random.Generator, n_random: int, grid: bool = True
+) -> tuple[list[str], np.ndarray]:
+    """Labelled unit d-vectors as rows: with grid, "basis:i", then "pair:i:j"
+    = (e_i + e_j)/sqrt(2) for i < j in row-major order; then n_random rows
+    "rand:k" of complex Gaussians from rng (all real parts drawn first)."""
+    v = rng.standard_normal((n_random, d)) + 1j * rng.standard_normal((n_random, d))
+    labels = [f"rand:{k}" for k in range(n_random)]
+    rows = v / np.linalg.norm(v, axis=1, keepdims=True)
+    if grid:
+        i, j = np.triu_indices(d, 1)
+        eye = np.eye(d, dtype=np.complex128)
+        labels = [f"basis:{k}" for k in range(d)] + [f"pair:{a}:{b}" for a, b in zip(i, j)] + labels
+        rows = np.concatenate([eye, (eye[i] + eye[j]) / np.sqrt(2), rows])
+    return labels, rows
 
 
 def random_hermitian(d: int, seed: int, scale: float = 1.0) -> np.ndarray:

@@ -10,11 +10,12 @@ of any product coupling is trivial (no information transfer at all).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bipartite import DensityOperator, trace_distance
-from .errors import DimensionError, InvalidPOVMError, NormalizationError
+from .errors import DimensionError, InvalidPOVMError, NonUnitaryError
 from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -22,8 +23,10 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
-    random_state,
-    split_seed,
+    probe_states,
+    require_unit,
+    rng_from_seed,
+    slice_map,
     swap_unitary,
     unitarity_defect,
 )
@@ -77,7 +80,8 @@ def require_valid_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> None:
 
 @dataclass(frozen=True)
 class MeasurementScheme:
-    """Probe space, initial probe vector, coupling unitary, pointer POVM."""
+    """Probe space, initial probe vector, coupling unitary, pointer POVM; the
+    arrays are stored as read-only copies, so cached values stay valid."""
 
     object_dim: int
     probe_dim: int
@@ -86,8 +90,8 @@ class MeasurementScheme:
     pointer: POVM = field(repr=False)
 
     def __post_init__(self):
-        probe_init = as_vector(self.probe_init)
-        coupling = as_matrix(self.coupling)
+        probe_init = as_vector(np.array(self.probe_init, dtype=np.complex128))
+        coupling = as_matrix(np.array(self.coupling, dtype=np.complex128))
         dim = self.object_dim * self.probe_dim
         if probe_init.size != self.probe_dim:
             raise DimensionError(
@@ -99,15 +103,28 @@ class MeasurementScheme:
             raise DimensionError(
                 f"pointer dim {self.pointer.dim} != probe dim {self.probe_dim}"
             )
+        probe_init.flags.writeable = False
+        coupling.flags.writeable = False
         object.__setattr__(self, "probe_init", probe_init)
         object.__setattr__(self, "coupling", coupling)
 
+    @cached_property
+    def coupling_defect(self) -> float:
+        """||U^†U - I||_F of the coupling."""
+        return unitarity_defect(self.coupling)
+
+    @cached_property
+    def slice_map(self) -> np.ndarray:
+        """B = U(I ⊗ φ0), (d1*d2) x d1: column i is U(e_i ⊗ φ0)."""
+        b = slice_map(self.coupling, self.object_dim, self.probe_dim, self.probe_init)
+        b.flags.writeable = False
+        return b
+
     def check(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        defect = unitarity_defect(self.coupling)
+        defect = self.coupling_defect
         if defect > tol.eps:
-            raise ValueError(f"coupling is not unitary: defect {defect:.3e}")
-        if abs(np.linalg.norm(self.probe_init) - 1.0) > max(tol.eps, 1e-9):
-            raise NormalizationError("probe_init must be a unit vector")
+            raise NonUnitaryError(f"coupling is not unitary: defect {defect:.3e}", defect)
+        require_unit(self.probe_init, tol, "probe_init")
         require_valid_povm(self.pointer, tol)
 
 
@@ -158,20 +175,16 @@ def swap_scheme(e: POVM, phi0: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Meas
     return MeasurementScheme(e.dim, e.dim, phi0, swap_unitary(e.dim), e)
 
 
-def _embed_probe_init(s: MeasurementScheme) -> np.ndarray:
-    """The (d1*d2) x d1 injection φ -> U(φ ⊗ φ0)."""
-    return s.coupling @ np.kron(np.eye(s.object_dim), s.probe_init.reshape(-1, 1))
-
-
 def measured_observable(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> POVM:
     """Induced object observable: E'(X) = (I ⊗ <φ0|) U^† (I ⊗ E(X)) U (I ⊗ |φ0>)."""
     s.check(tol)
-    b = _embed_probe_init(s)
-    effects = []
-    for eff in s.pointer.effects:
-        ep = b.conj().T @ np.kron(np.eye(s.object_dim), eff) @ b
-        effects.append((ep + ep.conj().T) / 2)
-    return POVM(s.object_dim, s.pointer.outcomes, tuple(effects))
+    d1, d2 = s.object_dim, s.probe_dim
+    # (I ⊗ E(X)) B for every outcome X: (n_outcomes, d1*d2, d1), never D x D.
+    b = s.slice_map
+    eb = np.stack(s.pointer.effects)[:, None] @ b.reshape(d1, d2, d1)
+    ep = b.conj().T @ eb.reshape(-1, d1 * d2, d1)
+    effects = (ep + ep.conj().transpose(0, 2, 1)) / 2
+    return POVM(d1, s.pointer.outcomes, tuple(effects))
 
 
 def outcome_probabilities(
@@ -181,15 +194,11 @@ def outcome_probabilities(
     phi = as_vector(phi)
     if phi.size != s.object_dim:
         raise DimensionError(f"state dimension {phi.size} != object dim {s.object_dim}")
-    if abs(np.linalg.norm(phi) - 1.0) > max(tol.eps, 1e-9):
-        raise NormalizationError(f"object state norm {np.linalg.norm(phi)} is not 1")
-    psi = s.coupling @ np.kron(phi, s.probe_init)
-    probs = np.array(
-        [
-            float(np.vdot(psi, np.kron(np.eye(s.object_dim), eff) @ psi).real)
-            for eff in s.pointer.effects
-        ]
-    )
+    require_unit(phi, tol, "object state")
+    psi = (s.slice_map @ phi).reshape(s.object_dim, s.probe_dim)
+    # The probe's reduced state, probe[r, q] = sum_a psi[a, r] conj(psi[a, q]).
+    probe = psi.T @ psi.conj()
+    probs = np.einsum("xqr,rq->x", np.stack(s.pointer.effects), probe).real
     # Rounding slack only: small negatives clamp to 0, and the total may be
     # renormalized within 10 * eps of 1. Larger deviations are logic bugs.
     if probs.min() < -tol.eps:
@@ -201,14 +210,6 @@ def outcome_probabilities(
     return OutcomeDistribution(s.pointer.outcomes, probs / total)
 
 
-def _effect_sqrt(eff: np.ndarray, tol: Tolerance) -> np.ndarray:
-    w, v = np.linalg.eigh((eff + eff.conj().T) / 2)
-    if w.min() < -tol.eps:
-        raise InvalidPOVMError(f"effect eigenvalue {w.min()} below -eps")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def luders_instrument(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """Square-root pointer reading of the scheme, as Kraus collections.
 
@@ -218,15 +219,15 @@ def luders_instrument(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Ins
     """
     s.check(tol)
     d1, d2 = s.object_dim, s.probe_dim
-    b = _embed_probe_init(s)
-    kraus: list[tuple[np.ndarray, ...]] = []
-    for eff in s.pointer.effects:
-        root = _effect_sqrt(eff, tol)
-        m = np.kron(np.eye(d1), root) @ b
-        # Row block k of m (stride d2) is exactly (I ⊗ <g_k|) applied to it.
-        ops = tuple(m.reshape(d1, d2, d1)[:, k, :] for k in range(d2))
-        kraus.append(ops)
-    return Instrument(d1, s.pointer.outcomes, tuple(kraus))
+    eff = np.stack(s.pointer.effects)
+    w, v = np.linalg.eigh((eff + eff.conj().transpose(0, 2, 1)) / 2)
+    if w.min() < -tol.eps:
+        raise InvalidPOVMError(f"effect eigenvalue {w.min()} below -eps")
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    # m[X, :, k, :] is (I ⊗ <g_k|) applied to (I ⊗ sqrt(E(X))) B.
+    m = roots[:, None] @ s.slice_map.reshape(d1, d2, d1)
+    kraus = tuple(tuple(ops) for ops in m.transpose(0, 2, 1, 3))
+    return Instrument(d1, s.pointer.outcomes, kraus)
 
 
 def disturbance(
@@ -285,23 +286,11 @@ def no_info_no_disturbance_check(
     is intentionally not asserted: product couplings disturb without
     transferring information.
     """
-    s.check(tol)
-    d = s.object_dim
     inst = luders_instrument(s, tol)
-    eye = np.eye(d)
-    states: list[tuple[str, np.ndarray]] = [(f"basis:{i}", eye[i]) for i in range(d)]
-    states += [
-        (f"pair:{i}:{j}", (eye[i] + eye[j]) / np.sqrt(2))
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    states += [
-        (f"rand:{k}", random_state(d, split_seed(seed, f"nind-{k}")))
-        for k in range(n_states)
-    ]
+    labels, vecs = probe_states(s.object_dim, rng_from_seed(seed), n_states)
     max_dist = 0.0
-    max_state = states[0][0]
-    for label, vec in states:
+    max_state = labels[0]
+    for label, vec in zip(labels, vecs):
         rho = DensityOperator.from_pure(vec)
         dist = trace_distance(rho, inst.nonselective(rho))
         if dist > max_dist:
@@ -310,7 +299,7 @@ def no_info_no_disturbance_check(
     undisturbed = max_dist <= tol.eps
     trivial = deviation <= tol.eps
     return NoInfoNoDisturbanceReport(
-        n_states=len(states),
+        n_states=len(labels),
         max_disturbance=max_dist,
         max_disturbance_state=max_state,
         max_triviality_deviation=deviation,

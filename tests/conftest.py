@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,4 +20,23 @@ def realignment_svds(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
+def unitarity_checks(monkeypatch):
+    """Shapes of the matrices given to linalg.unitarity_defect while the
+    test runs, one entry per call, in every entkit module that imports it."""
+    import entkit.linalg
+
+    calls = []
+    defect = entkit.linalg.unitarity_defect
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return defect(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entkit") and getattr(module, "unitarity_defect", None) is defect:
+            monkeypatch.setattr(module, "unitarity_defect", counted)
     return calls

@@ -16,11 +16,14 @@ from entkit.classify import (
     operator_schmidt_rank,
     realign,
     reconstruction_error,
+    slice_residual,
 )
 from entkit.dynamics import geodesic_path, path_point
 from entkit.errors import (
     NonUnitaryError,
+    NormalizationError,
     SliceHypothesisError,
+    SlicePatternError,
     WitnessSearchError,
 )
 from entkit.fixtures import (
@@ -37,9 +40,11 @@ from entkit.linalg import (
     Tolerance,
     exp_i_hermitian,
     haar_unitary,
+    probe_states,
     random_hermitian,
     random_state,
     rng_from_seed,
+    slice_map,
     swap_unitary,
     tensor_product,
 )
@@ -421,6 +426,55 @@ class TestClassifySlice:
             classify_slice(root, 2, 2, E2[0])
         assert exc.value.indices == (1,)
 
+    def test_pair_product_but_off_form_is_pattern_error(self):
+        # At tol 1e-3 the pair image is product within tol while its
+        # deviation from the assembled form (about 1.3e-3) is not.
+        plus = np.array([1, 1]) / np.sqrt(2)
+        with pytest.raises(SlicePatternError):
+            classify_slice(controlled_phase(0.0036), 2, 2, plus, Tolerance(1e-3))
+
+    def test_phi0_norm_follows_tol(self):
+        phi0 = E2[0] * (1 + 1e-10)
+        classify_slice(swap_unitary(2), 2, 2, phi0)
+        with pytest.raises(NormalizationError):
+            classify_slice(swap_unitary(2), 2, 2, phi0, Tolerance(1e-12))
+
+
+def _kron_slice_residual(form, u, d1, phi0):
+    """Per-basis-vector loop with Kronecker products."""
+    eye = np.eye(d1)
+    worst = 0.0
+    for i in range(d1):
+        image = u @ np.kron(eye[i], phi0)
+        if isinstance(form, LocalOnObject):
+            predicted = np.kron(form.v @ eye[i], form.phi_prime)
+        else:
+            predicted = np.kron(form.phi_prime, form.w12 @ eye[i])
+        worst = max(worst, float(np.linalg.norm(image - predicted)))
+    return worst
+
+
+class TestSliceMapAgainstKron:
+    @pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2), (3, 4), (4, 4)])
+    def test_images_and_residual(self, d1, d2):
+        seed = 10 * d1 + d2
+        u, phi0 = haar_unitary(d1 * d2, seed), random_state(d2, seed + 1)
+        b = slice_map(u, d1, d2, phi0)
+        eye = np.eye(d1)
+        for i in range(d1):
+            assert np.abs(b[:, i] - u @ np.kron(eye[i], phi0)).max() < 1e-13
+            for j in range(i + 1, d1):
+                pair = (b[:, i] + b[:, j]) / np.sqrt(2)
+                want = u @ np.kron((eye[i] + eye[j]) / np.sqrt(2), phi0)
+                assert np.abs(pair - want).max() < 1e-13
+        forms = (
+            LocalOnObject(haar_unitary(d1, seed + 2), random_state(d2, seed + 3)),
+            TransferToProbe(random_state(d1, seed + 4), haar_unitary(max(d1, d2), seed + 5)[:d2, :d1]),
+        )
+        for form in forms:
+            got = slice_residual(form, u, d1, d2, phi0)
+            assert abs(got - _kron_slice_residual(form, u, d1, phi0)) < 1e-13
+
 
 class TestBruteForce:
     def test_identity(self):
@@ -520,8 +574,8 @@ class TestWitnessEngine:
         monkeypatch.setattr(classify, "_grid_factors", lambda d: np.zeros((0, d)))
         u, d1, d2, seed, n = controlled_phase(np.pi / 3, 3, 3), 3, 3, 21, 40
         rng = rng_from_seed(seed)
-        a = classify._random_factors(rng, n, d1)
-        b = classify._random_factors(rng, n, d2)
+        _, a = probe_states(d1, rng, n, grid=False)
+        _, b = probe_states(d2, rng, n, grid=False)
         margin = 0.2
         want = _reference_first_hit(u, d1, d2, margin, zip(a, b))
         got = classify._find_witness(u, d1, d2, margin, seed, n)
@@ -532,7 +586,7 @@ class TestWitnessEngine:
         assert abs(got[2] - want[2]) < 1e-12
 
     def test_random_tail_deterministic_unit_norm(self):
-        draw = lambda seed: classify._random_factors(rng_from_seed(seed), 50, 3)
+        draw = lambda seed: probe_states(3, rng_from_seed(seed), 50, grid=False)[1]
         np.testing.assert_array_equal(draw(9), draw(9))
         assert not np.array_equal(draw(9), draw(10))
         np.testing.assert_allclose(np.linalg.norm(draw(9), axis=1), 1.0, atol=1e-12)

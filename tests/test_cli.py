@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entkit.cli import FIXTURES, main
+from entkit.fixtures import controlled_phase
 from entkit.linalg import swap_unitary
 from entkit.serialize import canonical_json, matrix_to_json, vector_to_json
 
@@ -93,7 +94,61 @@ class TestSliceCommand:
         assert json.loads(capsys.readouterr().out)["form"] == "local_on_object"
 
 
+_ROOT_SWAP = (np.eye(4) + swap_unitary(2)) / 2 + 1j * (np.eye(4) - swap_unitary(2)) / 2
+_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
+
+# Slice hypothesis failures: name -> (coupling, d1 = d2, phi0, offending
+# indices). Each exits 4 and names its indices; the object-control CNOT case
+# is TestSliceCommand.test_object_control_cnot_exit_4.
+SLICE_ERRORS = {
+    "cz-plus-pair": (controlled_phase(np.pi), 2, _PLUS, (0, 1)),
+    "sqrt-swap-basis": (_ROOT_SWAP, 2, np.eye(2)[0], (1,)),
+    "cphase-3x3-pair": (controlled_phase(np.pi, 3, 3), 3, np.ones(3) / np.sqrt(3), (0, 2)),
+    # Pairs (0, 1) and (0, 2) both deviate; the first is reported.
+    "controlled-z-3x3-first-pair": (
+        np.diag([1, 1, 1, 1, 1, -1, 1, -1, 1]).astype(complex), 3, np.ones(3) / np.sqrt(3), (0, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLICE_ERRORS))
+def test_slice_error_exit_4(case, tmp_path, capsys):
+    u, d, phi0, indices = SLICE_ERRORS[case]
+    path = write_json(tmp_path / "u.json", matrix_to_json(u))
+    phi0_file = write_json(tmp_path / "phi0.json", vector_to_json(phi0))
+    assert run_cli(["slice", path, "--phi0", phi0_file, "--dims", str(d), str(d)]) == 4
+    assert f"(offending indices {indices})" in capsys.readouterr().err
+
+
+class TestNormTolerance:
+    """A vector whose norm is off by 1e-10 passes at the default tol and
+    exits 2 at --tol 1e-12."""
+
+    def test_measure_state(self, tmp_path, capsys):
+        run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
+        state = write_json(tmp_path / "phi.json", vector_to_json(_PLUS * (1 + 1e-10)))
+        args = ["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        assert run_cli(args + ["--tol", "1e-12"]) == 2
+        assert "object state norm" in capsys.readouterr().err
+
+    def test_slice_phi0(self, tmp_path, capsys):
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        phi0 = write_json(tmp_path / "phi0.json", vector_to_json(np.eye(2)[0] * (1 + 1e-10)))
+        args = ["slice", path, "--phi0", phi0, "--dims", "2", "2"]
+        assert run_cli(args) == 0
+        assert run_cli(args + ["--tol", "1e-12"]) == 2
+
+
 class TestMeasureCommand:
+    def test_one_unitarity_check_per_run(self, tmp_path, capsys, unitarity_checks):
+        run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
+        state = write_json(tmp_path / "plus.json", vector_to_json(_PLUS))
+        unitarity_checks.clear()
+        assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 0
+        assert unitarity_checks == [(4, 4)]
+
     def test_swap_scheme_on_plus(self, tmp_path, capsys):
         assert run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")]) == 0
         plus = write_json(
@@ -120,14 +175,15 @@ class TestMeasureCommand:
         state = write_json(tmp_path / "e0.json", vector_to_json(np.eye(2)[0]))
         assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 4
 
-    def test_non_unitary_coupling_exit_2(self, tmp_path, capsys):
+    def test_non_unitary_coupling_exit_3(self, tmp_path, capsys):
+        # Exit 3 is "input not unitary", as for classify on the same coupling.
         run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
         capsys.readouterr()
         scheme = json.loads((tmp_path / "s.json").read_text())
         scheme["coupling"]["re"][0] = 3.0
         write_json(tmp_path / "s.json", scheme)
         state = write_json(tmp_path / "e0.json", vector_to_json(np.eye(2)[0]))
-        assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 2
+        assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 3
 
     def test_csv_not_supported_for_classify(self, tmp_path, capsys):
         path = write_json(tmp_path / "i4.json", matrix_to_json(np.eye(4)))

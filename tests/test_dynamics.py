@@ -16,8 +16,10 @@ from entkit.errors import NonUnitaryError
 from entkit.fixtures import cnot, haar_product
 from entkit.linalg import (
     exp_i_hermitian,
+    probe_states,
     random_hermitian,
     random_state,
+    rng_from_seed,
     split_seed,
     swap_unitary,
     tensor_product,
@@ -110,6 +112,20 @@ class TestPathPoint:
         lhs = path_point(path, s) @ path_point(path, t)
         rhs = path_point(path, min(s + t, 1.0))
         assert np.linalg.norm(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2)])
+def test_profile_inputs_come_from_the_probe_generator(d1, d2):
+    probe_init = random_state(d2, 8)
+    inputs = profile_inputs(d1, d2, probe_init, 9, 4)
+    rng = rng_from_seed(9)
+    labels, left = probe_states(d1, rng, 4)
+    _, right = probe_states(d2, rng, 4, grid=False)
+    assert [label for label, _ in inputs] == labels
+    n_grid = len(labels) - 4
+    for k, (_, vec) in enumerate(inputs):
+        b = probe_init if k < n_grid else right[k - n_grid]
+        np.testing.assert_array_equal(vec, np.kron(left[k], b))
 
 
 def _reference_profile(path, probe_init, n_steps, seed, n_inputs):

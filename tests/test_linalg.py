@@ -12,8 +12,10 @@ from entkit.linalg import (
     exp_i_hermitian,
     haar_unitary,
     is_unitary,
+    probe_states,
     random_hermitian,
     random_state,
+    rng_from_seed,
     swap_unitary,
     tensor_product,
     unitarity_defect,
@@ -210,6 +212,45 @@ class TestRandomState:
 
     def test_determinism(self):
         np.testing.assert_array_equal(random_state(4, 5), random_state(4, 5))
+
+
+def _reference_random_rows(rng, n, d):
+    """The witness search's original random tail: n unit rows with complex
+    Gaussian entries, all real parts drawn first."""
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestProbeStates:
+    def test_labels_and_order(self):
+        labels, vecs = probe_states(3, rng_from_seed(1), 2)
+        assert labels == [
+            "basis:0", "basis:1", "basis:2",
+            "pair:0:1", "pair:0:2", "pair:1:2",
+            "rand:0", "rand:1",
+        ]
+        np.testing.assert_array_equal(vecs[:3], np.eye(3))
+        r = 1 / np.sqrt(2)
+        np.testing.assert_array_equal(vecs[3:6], [[r, r, 0], [r, 0, r], [0, r, r]])
+        assert vecs.dtype == np.complex128
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_unit_norms(self, d):
+        _, vecs = probe_states(d, rng_from_seed(d), 7)
+        assert len(vecs) == d * (d + 1) // 2 + 7
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-15)
+
+    def test_random_rows_keep_the_witness_draw_order(self):
+        rng, ref = rng_from_seed(21), rng_from_seed(21)
+        for d in (3, 4):
+            labels, vecs = probe_states(d, rng, 40, grid=False)
+            assert labels == [f"rand:{k}" for k in range(40)]
+            np.testing.assert_array_equal(vecs, _reference_random_rows(ref, 40, d))
+
+    def test_grid_only(self):
+        labels, vecs = probe_states(2, rng_from_seed(0), 0)
+        assert labels == ["basis:0", "basis:1", "pair:0:1"]
+        assert vecs.shape == (3, 2)
 
 
 class TestSwapUnitary:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit.bipartite import DensityOperator, trace_distance
-from entkit.errors import InvalidPOVMError, NormalizationError
+from entkit.errors import InvalidPOVMError, NonUnitaryError, NormalizationError
 from entkit.fixtures import (
     haar_product,
     projective_povm,
@@ -14,7 +14,9 @@ from entkit.fixtures import (
 from entkit.linalg import (
     Tolerance,
     haar_unitary,
+    probe_states,
     random_state,
+    rng_from_seed,
     swap_unitary,
     tensor_product,
 )
@@ -296,3 +298,149 @@ class TestNoInfoNoDisturbance:
 
     def test_triviality_deviation_zero_on_trivial(self):
         assert triviality_deviation(trivial_povm(3, (0.2, 0.8))) < 1e-15
+
+
+class TestSchemeValidation:
+    def test_non_unitary_coupling_raises_with_defect(self):
+        coupling = swap_unitary(2)
+        coupling[0, 0] = 3.0
+        s = MeasurementScheme(2, 2, E2[0], coupling, projective_povm(2))
+        with pytest.raises(NonUnitaryError) as exc:
+            s.check()
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.defect == pytest.approx(8.0)
+
+    def test_arrays_are_read_only_copies(self):
+        coupling, phi0 = haar_unitary(4, 1), random_state(2, 2)
+        s = MeasurementScheme(2, 2, phi0, coupling, random_povm(2, 2, 3))
+        before = s.coupling_defect
+        coupling[0, 0] = 3.0
+        phi0[0] = 3.0
+        assert s.coupling[0, 0] != 3.0 and s.probe_init[0] != 3.0
+        assert s.coupling_defect == before
+        s.check()
+        for a in (s.coupling, s.probe_init, s.slice_map):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_one_unitarity_check_per_no_info_check(self, unitarity_checks):
+        s = MeasurementScheme(2, 3, random_state(3, 4), haar_unitary(6, 5), random_povm(3, 2, 6))
+        no_info_no_disturbance_check(s, seed=7)
+        assert unitarity_checks == [(6, 6)]
+
+
+OFF_NORM = 1 + 1e-10
+
+
+class TestNormTolerance:
+    """Unit-norm checks follow tol.eps: a norm off by 1e-10 passes at the
+    default 1e-9 and fails at 1e-12."""
+
+    CASES = {
+        "probe_init": lambda tol: MeasurementScheme(
+            2, 2, E2[0] * OFF_NORM, swap_unitary(2), projective_povm(2)
+        ).check(tol),
+        "object_state": lambda tol: outcome_probabilities(
+            swap_scheme(projective_povm(2), E2[0]), PLUS * OFF_NORM, tol
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_follows_tol(self, case):
+        self.CASES[case](Tolerance())
+        with pytest.raises(NormalizationError):
+            self.CASES[case](Tolerance(1e-12))
+
+
+# Haar couplings for the reference comparisons, (d1, d2) with seeds.
+REFERENCE_DIMS = [(2, 3), (3, 2), (3, 4), (4, 4)]
+
+
+def _reference_scheme(d1, d2):
+    seed = 10 * d1 + d2
+    return MeasurementScheme(
+        d1, d2, random_state(d2, seed), haar_unitary(d1 * d2, seed + 1),
+        random_povm(d2, 3, seed + 2),
+    )
+
+
+def _kron_slice(s):
+    """U (I ⊗ |φ0>) from Kronecker identities."""
+    return s.coupling @ np.kron(np.eye(s.object_dim), s.probe_init.reshape(-1, 1))
+
+
+def _kron_observable(s):
+    b = _kron_slice(s)
+    out = []
+    for eff in s.pointer.effects:
+        ep = b.conj().T @ np.kron(np.eye(s.object_dim), eff) @ b
+        out.append((ep + ep.conj().T) / 2)
+    return out
+
+
+def _kron_probabilities(s, phi):
+    psi = s.coupling @ np.kron(phi, s.probe_init)
+    return [
+        float(np.vdot(psi, np.kron(np.eye(s.object_dim), eff) @ psi).real)
+        for eff in s.pointer.effects
+    ]
+
+
+def _kron_kraus(s):
+    d1, d2 = s.object_dim, s.probe_dim
+    b = _kron_slice(s)
+    out = []
+    for eff in s.pointer.effects:
+        w, v = np.linalg.eigh((eff + eff.conj().T) / 2)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        m = np.kron(np.eye(d1), root) @ b
+        out.append([m.reshape(d1, d2, d1)[:, k, :] for k in range(d2)])
+    return out
+
+
+class TestAgainstKronReference:
+    TOL = 1e-13
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_slice_map(self, d1, d2):
+        s = _reference_scheme(d1, d2)
+        assert np.abs(s.slice_map - _kron_slice(s)).max() < self.TOL
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_measured_observable(self, d1, d2):
+        s = _reference_scheme(d1, d2)
+        got = measured_observable(s).effects
+        for a, b in zip(got, _kron_observable(s), strict=True):
+            assert np.abs(a - b).max() < self.TOL
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_outcome_probabilities(self, d1, d2):
+        s = _reference_scheme(d1, d2)
+        phi = random_state(d1, 99)
+        got = outcome_probabilities(s, phi).probabilities
+        np.testing.assert_allclose(got, _kron_probabilities(s, phi), rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_luders_kraus(self, d1, d2):
+        s = _reference_scheme(d1, d2)
+        got = luders_instrument(s).kraus
+        for ops, want in zip(got, _kron_kraus(s), strict=True):
+            for a, b in zip(ops, want, strict=True):
+                assert np.abs(a - b).max() < self.TOL
+
+
+class TestNoInfoStates:
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_states_come_from_the_probe_generator(self, d1, d2):
+        s = _reference_scheme(d1, d2)
+        seed, n = 5, 16
+        labels, vecs = probe_states(d1, rng_from_seed(seed), n)
+        inst = luders_instrument(s)
+        dists = []
+        for vec in vecs:
+            rho = DensityOperator.from_pure(vec)
+            dists.append(trace_distance(rho, inst.nonselective(rho)))
+        report = no_info_no_disturbance_check(s, seed=seed, n_states=n)
+        assert report.n_states == len(labels)
+        assert report.max_disturbance_state == labels[int(np.argmax(dists))]
+        assert report.max_disturbance == max(dists)
