@@ -55,12 +55,10 @@ def main():
         out = os.path.join(args.out_dir, f"{name}.csv")
         write_atomic(out, profile_csv(profile.points))
         best = profile.max_point()
-        interior = any(
-            pt.verdict == "entangling" for pt in profile.points if 0 < pt.t < 1
-        )
         print(
             f"{name:18s} peak {best.max_entropy_bits:.4f} bits at t={best.t:.4f} "
-            f"({best.maximizing_input_id}), interior entangling: {interior} -> {out}"
+            f"({best.maximizing_input_id}), "
+            f"interior entangling: {profile.interior_entangling} -> {out}"
         )
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, PureState, _fix_phase, is_product, product_state
+from .bipartite import PureState, _fix_phase, product_state
 from .errors import (
     DimensionError,
     NonUnitaryError,
@@ -76,7 +76,8 @@ class SwapForm:
 
 @dataclass(frozen=True)
 class Entangling:
-    """Witnessed entangling behavior: ``witness = U(input)`` has Schmidt rank >= 2."""
+    """Witnessed entangling behavior: ``witness``, U(input) normalized, has
+    Schmidt rank >= 2."""
 
     witness: PureState
     input: PureState
@@ -317,7 +318,9 @@ def classify_unitary(
     if hit is not None:
         a, b, coeff = hit
         inp = product_state(a, b)
-        return Entangling(PureState(inp.space, u @ inp.vec), inp, coeff, rank)
+        # Normalized: u passed the unitarity check only within tol.
+        image = u @ inp.vec
+        return Entangling(PureState(inp.space, image / np.linalg.norm(image)), inp, coeff, rank)
     raise WitnessSearchError(
         "no entanglement witness found although the realignment rank exceeds 1; "
         "the tolerance is likely misconfigured"
@@ -357,18 +360,17 @@ def brute_force_non_entangling(
     return False, product_state(hit[0], hit[1])
 
 
-def _factor_slice_image(
-    space: BipartiteSpace, b: np.ndarray, tol: Tolerance, indices: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of U(e ⊗ phi0), e the normalized sum of the indexed basis vectors."""
-    image = b[:, indices].sum(axis=1) / np.sqrt(len(indices))
-    ok, factors = is_product(PureState(space, image), tol)
-    if not ok:
-        label = "basis vector" if len(indices) == 1 else "superposition of basis vectors"
-        raise SliceHypothesisError(
-            f"image of {label} {indices} ⊗ phi0 is not a product state", indices
-        )
-    return factors
+def _non_product(s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Indices of the rows of s, stacked Schmidt coefficients, that do not
+    have exactly one coefficient above tol.eps."""
+    return np.flatnonzero(np.count_nonzero(s > tol.eps, axis=1) != 1)
+
+
+def _hypothesis_error(indices: tuple[int, ...]) -> SliceHypothesisError:
+    label = "basis vector" if len(indices) == 1 else "superposition of basis vectors"
+    return SliceHypothesisError(
+        f"image of {label} {indices} ⊗ phi0 is not a product state", indices
+    )
 
 
 def _slice_prediction(form: SliceForm) -> np.ndarray:
@@ -380,6 +382,21 @@ def _slice_prediction(form: SliceForm) -> np.ndarray:
     return p.reshape(-1, p.shape[2])
 
 
+def _fits(form: SliceForm, b: np.ndarray, check_tol: float) -> bool:
+    """Whether the form predicts every pair image (e_i + e_j)/sqrt(2) ⊗ phi0
+    within check_tol and its map is an isometry within check_tol.
+
+    Both sides are linear, so a pair's deviation is ||r_i + r_j||/sqrt(2)
+    over the columns r_i of B minus the form's prediction.
+    """
+    r = b - _slice_prediction(form)
+    for i in range(r.shape[1] - 1):
+        if (np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2) > check_tol).any():
+            return False
+    iso = form.v if isinstance(form, LocalOnObject) else form.w12
+    return frobenius(iso.conj().T @ iso - np.eye(iso.shape[1])) <= check_tol
+
+
 def classify_slice(
     u: np.ndarray,
     d1: int,
@@ -389,103 +406,48 @@ def classify_slice(
 ) -> SliceForm:
     """Constructive dichotomy for the slice φ -> U(φ ⊗ φ0).
 
-    Factors the images of an object basis, reads off the orthogonality
-    pattern of the left factors against the right factors, assembles the
-    isometry by linear extension, and verifies consistency on pairwise
-    superposition inputs. Raises SliceHypothesisError when some probed image
-    is not a product (the offending indices are reported) and
-    SlicePatternError on numerically inconsistent patterns.
+    Checks that every basis image, a column of the slice map B = U(I ⊗ φ0),
+    is a product, with one stacked SVD. Image 0 = a ⊗ c then fixes both
+    candidate forms: LocalOnObject(V = (I ⊗ c^†)B, c) and
+    TransferToProbe(a, W12 = (a^† ⊗ I)B), and the first that predicts every
+    pair superposition image and is an isometry is returned. Raises
+    SliceHypothesisError with the offending indices when a basis image, or
+    (if neither form fits) the first pair image in row-major order, is not a
+    product, and SlicePatternError when every image is a product yet neither
+    form fits, which a tolerance too loose for the input signals.
     """
     u = _check_bipartite_unitary(u, d1, d2, tol)
     phi0 = as_vector(phi0)
     if phi0.size != d2:
         raise DimensionError(f"phi0 has dimension {phi0.size}, probe space needs {d2}")
     require_unit(phi0, tol, "phi0")
-    space = BipartiteSpace(d1, d2)
     b = slice_map(u, d1, d2, phi0)
 
-    lefts, rights = [], []
-    for i in range(d1):
-        left, right = _factor_slice_image(space, b, tol, (i,))
-        lefts.append(left)
-        rights.append(right)
-
-    if d1 == 1:
-        # Single basis vector: the slice is a local phase on the object.
-        return LocalOnObject(np.array([[1.0 + 0j]]), rights[0] * lefts[0][0])
-
-    # Pairwise pattern against index 0: unitarity forces, for each pair,
-    # orthogonal left factors or orthogonal right factors (never neither).
-    decide_tol = np.sqrt(max(tol.eps, 1e-300))
-    left_votes = 0
-    right_votes = 0
-    for i in range(1, d1):
-        lo = abs(np.vdot(lefts[0], lefts[i]))
-        ro = abs(np.vdot(rights[0], rights[i]))
-        if lo <= decide_tol and ro <= decide_tol:
-            # Both orthogonal: the pair superposition cannot have a product
-            # image; surface it as a hypothesis violation with evidence.
-            _factor_slice_image(space, b, tol, (0, i))
-            raise SlicePatternError(
-                f"pair (0, {i}): both factor overlaps below {decide_tol:.1e} "
-                "yet the superposition image is product; tolerance breakdown"
-            )
-        if lo <= decide_tol:
-            left_votes += 1
-        elif ro <= decide_tol:
-            right_votes += 1
-        else:
-            raise SlicePatternError(
-                f"pair (0, {i}): neither factor system is orthogonal "
-                f"(|<a0,ai>| = {lo:.3e}, |<b0,bi>| = {ro:.3e})"
-            )
-    if left_votes and right_votes:
-        raise SlicePatternError(
-            f"inconsistent pattern: {left_votes} pairs vote local, "
-            f"{right_votes} pairs vote transfer"
-        )
-
-    if left_votes:
-        # Left factors orthonormal, right factors parallel: local action.
-        phi_prime = rights[0]
-        v = np.stack(
-            [np.vdot(phi_prime, rights[i]) * lefts[i] for i in range(d1)], axis=1
-        )
-        result: SliceForm = LocalOnObject(v, phi_prime)
-        iso = v
-    else:
-        # Right factors orthonormal, left factors parallel: transfer to probe.
-        phi_prime = lefts[0]
-        w12 = np.stack(
-            [np.vdot(phi_prime, lefts[i]) * rights[i] for i in range(d1)], axis=1
-        )
-        result = TransferToProbe(phi_prime, w12)
-        iso = w12
-
-    # Superposition consistency: the assembled form must predict the images
-    # of (e_i + e_j)/sqrt(2) ⊗ phi0 as well. Both sides are linear, so the
-    # deviation is (r_i + r_j)/sqrt(2) over the basis deviations r. A
-    # deviating pair whose image is itself non-product is a hypothesis
-    # violation, not numerical breakdown.
+    x, s, yh = np.linalg.svd(b.T.reshape(d1, d1, d2))
+    bad = _non_product(s, tol)
+    if bad.size:
+        raise _hypothesis_error((int(bad[0]),))
+    a, c = _fix_phase(x[0, :, 0], yh[0, 0, :], tol)
+    b3 = b.reshape(d1, d2, d1)
+    # The 1e-9 floor ignores tol; it stays until ROADMAP item 1's one rule.
     check_tol = max(tol.eps, 1e-9)
-    r = b - _slice_prediction(result)
-    for i in range(d1 - 1):
-        deviation = np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2)
-        bad = np.flatnonzero(deviation > check_tol)
-        if bad.size:
-            j = i + 1 + int(bad[0])
-            _factor_slice_image(space, b, tol, (i, j))
-            raise SlicePatternError(
-                f"superposition ({i}, {j}) image deviates from the "
-                "assembled form beyond tolerance"
-            )
+    for form in (
+        LocalOnObject(c.conj() @ b3, c),
+        TransferToProbe(a, (a.conj() @ b3.reshape(d1, -1)).reshape(d2, d1)),
+    ):
+        if _fits(form, b, check_tol):
+            return form
 
-    iso_defect = frobenius(iso.conj().T @ iso - np.eye(d1))
-    if iso_defect > max(tol.eps, 1e-9):
-        raise SlicePatternError(
-            f"assembled map is not an isometry: defect {iso_defect:.3e}"
-        )
-    return result
+    # Diagnosis, one row of pairs at a time: at most d1 - 1 images in memory.
+    for i in range(d1 - 1):
+        pairs = (b[:, i, None] + b[:, i + 1 :]) / np.sqrt(2)
+        bad = _non_product(np.linalg.svd(pairs.T.reshape(-1, d1, d2), compute_uv=False), tol)
+        if bad.size:
+            raise _hypothesis_error((i, i + 1 + int(bad[0])))
+    raise SlicePatternError(
+        "every probed image is a product, yet neither the local nor the transfer "
+        f"form predicts the pair images as an isometry within {check_tol:.1e}"
+    )
 
 
 def slice_residual(

@@ -8,7 +8,7 @@ atomically (temp file plus rename), so no partial files survive an error.
 Exit codes: 0 success (an "entangling" verdict is a successful
 classification), 1 verification-suite failure, 2 malformed input or usage,
 3 input not unitary within tolerance, 4 hypothesis violation (non-product
-slice image, invalid POVM).
+slice image, no slice form within tolerance, invalid POVM).
 """
 
 from __future__ import annotations
@@ -189,6 +189,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
         form = classify_slice(u, d1, d2, phi0, args.tol)
     except SliceHypothesisError as exc:
         raise CliError(f"{exc} (offending indices {exc.indices})", EXIT_HYPOTHESIS) from exc
+    except SlicePatternError as exc:
+        raise CliError(str(exc), EXIT_HYPOTHESIS) from exc
     except NonUnitaryError as exc:
         raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
     except (DimensionError, ValueError) as exc:
@@ -255,12 +257,10 @@ def cmd_path(args: argparse.Namespace) -> int:
     except (DimensionError, ValueError) as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     best = profile.max_point()
-    obstruction = any(
-        pt.verdict == "entangling" for pt in profile.points if 0.0 < pt.t < 1.0
-    )
     summary = (
         f"max entropy {best.max_entropy_bits:.6f} bits at t={best.t} "
-        f"({best.maximizing_input_id}); interior entangling point witnessed: {obstruction}"
+        f"({best.maximizing_input_id}); interior entangling point witnessed: "
+        f"{profile.interior_entangling}"
     )
     print(summary, file=sys.stderr)
     if args.format == "csv":
@@ -273,7 +273,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     report["max_entropy_t"] = best.t
     report["max_entropy_input_id"] = best.maximizing_input_id
     report["max_entropy_input"] = vector_to_json(best.maximizing_input)
-    report["interior_entangling_witnessed"] = obstruction
+    report["interior_entangling_witnessed"] = profile.interior_entangling
     report["profile"] = [
         {
             "t": pt.t,
@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (SlicePatternError, WitnessSearchError) as exc:
+    except WitnessSearchError as exc:
         # numerical breakdown, typically a misconfigured tolerance
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILURE

@@ -100,8 +100,9 @@ class EntanglementProfile:
     points: tuple[ProfilePoint, ...]
 
     @property
-    def times(self) -> list[float]:
-        return [pt.t for pt in self.points]
+    def interior_entangling(self) -> bool:
+        """Whether some grid point strictly inside (0, 1) has an entangling verdict."""
+        return any(pt.verdict == "entangling" for pt in self.points if 0.0 < pt.t < 1.0)
 
     def max_point(self) -> ProfilePoint:
         return max(self.points, key=lambda pt: pt.max_entropy_bits)

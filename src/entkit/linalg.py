@@ -155,13 +155,9 @@ def swap_unitary(d: int) -> np.ndarray:
     return s
 
 
-def rng_from_seed(seed: int, label: str | None = None) -> np.random.Generator:
-    """Deterministic generator for a seed, optionally split by a stream label."""
-    if label is None:
-        return np.random.default_rng(seed)
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(label.encode()),))
-    )
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """Deterministic generator for a seed."""
+    return np.random.default_rng(seed)
 
 
 def split_seed(seed: int, label: str) -> int:

@@ -348,11 +348,8 @@ def suite_swap_obstruction(
         profile = entanglement_profile(
             path, probe_init, n_steps=64, seed=split_seed(seed, f"ob-{d}"), n_inputs=8, tol=tol
         )
-        interior_entangling = any(
-            pt.verdict == "entangling" for pt in profile.points if 0.0 < pt.t < 1.0
-        )
         peak = profile.max_point().max_entropy_bits
-        tally.check(interior_entangling and peak > 0.5, **{f"max_entropy_d{d}": peak})
+        tally.check(profile.interior_entangling and peak > 0.5, **{f"max_entropy_d{d}": peak})
         if d == 2:
             midpoint = next(pt for pt in profile.points if pt.t == 0.5)
             oracle_u = sqrt_swap_oracle(d)

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit import classify
-from entkit.bipartite import BipartiteSpace, PureState, schmidt_rank
+from entkit.bipartite import BipartiteSpace, PureState, is_product, schmidt_rank
 from entkit.classify import (
     Entangling,
     LocalOnObject,
@@ -110,6 +112,15 @@ class TestClassifyUnitary:
         np.testing.assert_allclose(form.input.vec, np.kron(plus, E2[0]), atol=1e-12)
         assert schmidt_rank(form.witness) == 2
         assert form.second_coeff > 1e-8
+
+    def test_witness_image_normalized_within_tol(self):
+        # Defect 8.0e-4 passes the unitarity check at tol 1e-3; the stored
+        # image is U(input) normalized, not a 1.0002-norm vector.
+        u = cnot() * (1 + 2e-4)
+        form = classify_unitary(u, 2, 2, Tolerance(1e-3))
+        assert isinstance(form, Entangling)
+        image = u @ form.input.vec
+        np.testing.assert_allclose(form.witness.vec, image / np.linalg.norm(image), atol=1e-15)
 
     def test_controlled_phase_entangling(self):
         for theta in (np.pi / 3, np.pi):
@@ -433,11 +444,147 @@ class TestClassifySlice:
         with pytest.raises(SlicePatternError):
             classify_slice(controlled_phase(0.0036), 2, 2, plus, Tolerance(1e-3))
 
+    def test_scaled_swap_within_tol(self):
+        # Defect 8.0e-4 passes the unitarity check at tol 1e-3; the images'
+        # norm 1.0002 must not trip a fixed-floor norm check.
+        form = classify_slice(swap_unitary(2) * (1 + 2e-4), 2, 2, E2[0], Tolerance(1e-3))
+        assert isinstance(form, TransferToProbe)
+        np.testing.assert_allclose(form.w12, np.eye(2) * (1 + 2e-4), atol=1e-15)
+
     def test_phi0_norm_follows_tol(self):
         phi0 = E2[0] * (1 + 1e-10)
         classify_slice(swap_unitary(2), 2, 2, phi0)
         with pytest.raises(NormalizationError):
             classify_slice(swap_unitary(2), 2, 2, phi0, Tolerance(1e-12))
+
+
+def _vote_classify_slice(u, d1, d2, phi0, tol):
+    """The vote-based slice classifier of entkit 0.5.0, kept as a reference.
+
+    Factors each basis image through PureState/is_product, votes every image
+    against image 0 at threshold sqrt(tol), assembles the voted form from the
+    factors, then checks pairs and the isometry as classify_slice does.
+    """
+    u = classify._check_bipartite_unitary(u, d1, d2, tol)
+    space = BipartiteSpace(d1, d2)
+    b = slice_map(u, d1, d2, phi0)
+
+    def factor(indices):
+        image = b[:, indices].sum(axis=1) / np.sqrt(len(indices))
+        ok, factors = is_product(PureState(space, image), tol)
+        if not ok:
+            raise SliceHypothesisError("not a product", indices)
+        return factors
+
+    lefts, rights = zip(*(factor((i,)) for i in range(d1)))
+    if d1 == 1:
+        return LocalOnObject(np.array([[1.0 + 0j]]), rights[0] * lefts[0][0])
+    decide_tol = np.sqrt(max(tol.eps, 1e-300))
+    left_votes = right_votes = 0
+    for i in range(1, d1):
+        lo = abs(np.vdot(lefts[0], lefts[i]))
+        ro = abs(np.vdot(rights[0], rights[i]))
+        if lo <= decide_tol and ro <= decide_tol:
+            factor((0, i))
+            raise SlicePatternError("both factor systems orthogonal")
+        if lo <= decide_tol:
+            left_votes += 1
+        elif ro <= decide_tol:
+            right_votes += 1
+        else:
+            raise SlicePatternError("neither factor system orthogonal")
+    if left_votes and right_votes:
+        raise SlicePatternError("inconsistent votes")
+    if left_votes:
+        phi_prime = rights[0]
+        iso = np.stack([np.vdot(phi_prime, rights[i]) * lefts[i] for i in range(d1)], axis=1)
+        form = LocalOnObject(iso, phi_prime)
+        predicted = (iso[:, None, :] * phi_prime[None, :, None]).reshape(-1, d1)
+    else:
+        phi_prime = lefts[0]
+        iso = np.stack([np.vdot(phi_prime, lefts[i]) * rights[i] for i in range(d1)], axis=1)
+        form = TransferToProbe(phi_prime, iso)
+        predicted = (phi_prime[:, None, None] * iso[None, :, :]).reshape(-1, d1)
+    check_tol = max(tol.eps, 1e-9)
+    r = b - predicted
+    for i in range(d1 - 1):
+        deviation = np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2)
+        bad = np.flatnonzero(deviation > check_tol)
+        if bad.size:
+            factor((i, i + 1 + int(bad[0])))
+            raise SlicePatternError("pair deviates")
+    if np.linalg.norm(iso.conj().T @ iso - np.eye(d1)) > check_tol:
+        raise SlicePatternError("not an isometry")
+    return form
+
+
+def _slice_outcome(classifier, u, d1, d2, phi0, tol):
+    """(form or error class, indices, phi', isometry) of one slice call."""
+    try:
+        form = classifier(u, d1, d2, phi0, tol)
+    except SliceHypothesisError as exc:
+        return "hypothesis", exc.indices, None, None
+    except SlicePatternError:
+        return "pattern", None, None, None
+    iso = form.v if isinstance(form, LocalOnObject) else form.w12
+    return form.form, None, form.phi_prime, iso
+
+
+def _phase_aligned(a, b):
+    overlap = np.vdot(a.ravel(), b.ravel())
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    return float(np.linalg.norm(b - phase * a))
+
+
+class TestSliceAgainstVoteReference:
+    """Projection onto image 0's factors against the 0.5.0 vote, over product,
+    Haar, diagonal, controlled-phase and dressed-swap couplings, perturbed to
+    U·exp(iδH), three probe vectors and tol from 1e-12 to 1e-3."""
+
+    DELTAS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+    TOLS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+    @pytest.mark.parametrize("d1,d2", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 4)])
+    def test_same_outcomes(self, d1, d2):
+        seed = 10 * d1 + d2
+        couplings = [
+            haar_product(d1, d2, seed)[0],
+            haar_unitary(d1 * d2, seed),
+            random_diagonal_coupling(d1, d2, seed),
+            controlled_phase(0.3, d1, d2),
+            # Product basis images, pair deviation between tol and 1e-9.
+            controlled_phase(1e-10, d1, d2),
+        ]
+        if d1 == d2:
+            couplings.append(dressed_swap(d1, seed)[0])
+        h = random_hermitian(d1 * d2, seed + 1)
+        phis = (np.eye(d2)[0], np.ones(d2) / np.sqrt(d2), random_state(d2, seed + 2))
+        for u0, delta, phi0, eps in itertools.product(couplings, self.DELTAS, phis, self.TOLS):
+            u = u0 @ exp_i_hermitian(h, delta)
+            tol = Tolerance(eps)
+            want = _slice_outcome(_vote_classify_slice, u, d1, d2, phi0, tol)
+            got = _slice_outcome(classify_slice, u, d1, d2, phi0, tol)
+            assert got[:2] == want[:2], (delta, eps)
+            if got[2] is not None:
+                # The vote keeps each image's leading Schmidt term; the
+                # projection also takes the second term's overlap with the
+                # factor of image 0, of order delta².
+                bound = 1e-12 + delta**2
+                assert _phase_aligned(want[2], got[2]) < bound
+                assert _phase_aligned(want[3], got[3]) < bound
+
+    def test_loose_tol_names_first_row_major_pair(self):
+        # At tol 0.1 no form fits this diagonal coupling; the vote reported
+        # pair (0, 2), the first row-major non-product pair is (0, 1).
+        u, plus = random_diagonal_coupling(3, 2, 0), np.ones(2) / np.sqrt(2)
+        tol = Tolerance(0.1)
+        assert _slice_outcome(_vote_classify_slice, u, 3, 2, plus, tol)[:2] == ("hypothesis", (0, 2))
+        with pytest.raises(SliceHypothesisError) as exc:
+            classify_slice(u, 3, 2, plus, tol)
+        assert exc.value.indices == (0, 1)
+        b = slice_map(u, 3, 2, plus)
+        pair = PureState(BipartiteSpace(3, 2), (b[:, 0] + b[:, 1]) / np.sqrt(2))
+        assert schmidt_rank(pair, tol) == 2
 
 
 def _kron_slice_residual(form, u, d1, phi0):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 from entkit.cli import FIXTURES, main
-from entkit.fixtures import controlled_phase
+from entkit.fixtures import cnot, controlled_phase
 from entkit.linalg import swap_unitary
 from entkit.serialize import canonical_json, matrix_to_json, vector_to_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_json(path, obj):
@@ -118,6 +121,34 @@ def test_slice_error_exit_4(case, tmp_path, capsys):
     phi0_file = write_json(tmp_path / "phi0.json", vector_to_json(phi0))
     assert run_cli(["slice", path, "--phi0", phi0_file, "--dims", str(d), str(d)]) == 4
     assert f"(offending indices {indices})" in capsys.readouterr().err
+
+
+def test_slice_pattern_error_exit_4(tmp_path, capsys):
+    # Every probed image is a product within tol 1e-3, yet neither form fits.
+    path = write_json(tmp_path / "u.json", matrix_to_json(controlled_phase(0.0036)))
+    phi0_file = write_json(tmp_path / "phi0.json", vector_to_json(_PLUS))
+    args = ["slice", path, "--phi0", phi0_file, "--dims", "2", "2", "--tol", "1e-3"]
+    assert run_cli(args) == 4
+    assert "neither the local nor the transfer form" in capsys.readouterr().err
+
+
+# Couplings scaled by 1 + 2e-4 (unitarity defect 8.0e-4) pass the check at
+# --tol 1e-3 and must get a verdict: command -> (coupling, report key, value).
+SCALED_WITHIN_TOL = {
+    "classify": (cnot() * (1 + 2e-4), "verdict", "entangling"),
+    "slice": (swap_unitary(2) * (1 + 2e-4), "form", "transfer_to_probe"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCALED_WITHIN_TOL))
+def test_scaled_coupling_within_tol(command, tmp_path, capsys, e0_file):
+    u, key, value = SCALED_WITHIN_TOL[command]
+    path = write_json(tmp_path / "u.json", matrix_to_json(u))
+    args = [command, path, "--dims", "2", "2", "--tol", "1e-3"]
+    if command == "slice":
+        args += ["--phi0", e0_file]
+    assert run_cli(args) == 0
+    assert json.loads(capsys.readouterr().out)[key] == value
 
 
 class TestNormTolerance:
@@ -304,8 +335,12 @@ class TestDeterminism:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "swap.json"
+        # This checkout's src first, so an installed copy cannot answer.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "entkit.cli", "gen", "swap", "--dims", "2", "2", "--out", str(out)],
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -233,6 +233,13 @@ class TestEntanglementProfile:
         assert all(pt.max_entropy_bits < 1e-9 for pt in profile.points)
         assert all(pt.verdict == "product" for pt in profile.points)
 
+    def test_interior_entangling(self):
+        swap_path = geodesic_path(swap_unitary(2), 2, 2)
+        assert entanglement_profile(swap_path, E2[0], n_steps=4, seed=1, n_inputs=2).interior_entangling
+        h = tensor_product(random_hermitian(2, 106), np.eye(2))
+        local = entanglement_profile(path_from_generator(h, 2, 2), E2[0], n_steps=4, seed=1, n_inputs=2)
+        assert not local.interior_entangling
+
     def test_local_generator_endpoint_factorizes(self):
         a = random_hermitian(2, 104, scale=1.0)
         b = random_hermitian(2, 105, scale=1.0)
