@@ -22,6 +22,7 @@ from .bipartite import (
     product_state,
     schmidt,
     schmidt_rank,
+    schmidt_ranks,
     trace_distance,
 )
 from .classify import (

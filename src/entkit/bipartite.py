@@ -137,20 +137,29 @@ def _rotate(z: np.ndarray, c: float, s: float) -> np.ndarray:
     return out
 
 
+def schmidt_ranks(
+    space: BipartiteSpace, vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """Number of Schmidt coefficients above tol.eps (absolute threshold) of
+    each row of vecs, an (n, space.dim) stack of vectors; a row is a product
+    iff its rank is 1. No norm check, so images of a coupling that is
+    unitary only within tol can be tested."""
+    s = np.linalg.svd(np.reshape(vecs, (-1, space.d1, space.d2)), compute_uv=False)
+    return np.count_nonzero(s > tol.eps, axis=1)
+
+
 def schmidt_rank(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of Schmidt coefficients above tol.eps (absolute threshold)."""
-    s = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
-    return int(np.count_nonzero(s > tol.eps))
+    return int(schmidt_ranks(psi.space, psi.vec[None, :], tol)[0])
 
 
 def is_product(
     psi: PureState, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, tuple[np.ndarray, np.ndarray] | None]:
     """Rank-1 test; on success also returns the (left, right) unit factors."""
-    dec = schmidt(psi, tol)
-    rank = int(np.count_nonzero(dec.coeffs > tol.eps))
-    if rank != 1:
+    if schmidt_rank(psi, tol) != 1:
         return False, None
+    dec = schmidt(psi, tol)
     return True, (dec.left[0], dec.right[0])
 
 

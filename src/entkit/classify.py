@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .bipartite import PureState, _fix_phase, product_state
+from .bipartite import BipartiteSpace, PureState, _fix_phase, product_state, schmidt_ranks
 from .errors import (
     DimensionError,
     NonUnitaryError,
@@ -360,12 +360,6 @@ def brute_force_non_entangling(
     return False, product_state(hit[0], hit[1])
 
 
-def _non_product(s: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Indices of the rows of s, stacked Schmidt coefficients, that do not
-    have exactly one coefficient above tol.eps."""
-    return np.flatnonzero(np.count_nonzero(s > tol.eps, axis=1) != 1)
-
-
 def _hypothesis_error(indices: tuple[int, ...]) -> SliceHypothesisError:
     label = "basis vector" if len(indices) == 1 else "superposition of basis vectors"
     return SliceHypothesisError(
@@ -421,13 +415,16 @@ def classify_slice(
     if phi0.size != d2:
         raise DimensionError(f"phi0 has dimension {phi0.size}, probe space needs {d2}")
     require_unit(phi0, tol, "phi0")
-    b = slice_map(u, d1, d2, phi0)
+    # Unit phi0, so B^†B - I is a compression of U^†U - I and the isometry
+    # check sees no norm slack that require_unit let through.
+    b = slice_map(u, d1, d2, phi0 / np.linalg.norm(phi0))
+    space = BipartiteSpace(d1, d2)
 
-    x, s, yh = np.linalg.svd(b.T.reshape(d1, d1, d2))
-    bad = _non_product(s, tol)
+    bad = np.flatnonzero(schmidt_ranks(space, b.T, tol) != 1)
     if bad.size:
         raise _hypothesis_error((int(bad[0]),))
-    a, c = _fix_phase(x[0, :, 0], yh[0, 0, :], tol)
+    x, _, yh = np.linalg.svd(b[:, 0].reshape(d1, d2))
+    a, c = _fix_phase(x[:, 0], yh[0], tol)
     b3 = b.reshape(d1, d2, d1)
     # The 1e-9 floor ignores tol; it stays until ROADMAP item 1's one rule.
     check_tol = max(tol.eps, 1e-9)
@@ -441,7 +438,7 @@ def classify_slice(
     # Diagnosis, one row of pairs at a time: at most d1 - 1 images in memory.
     for i in range(d1 - 1):
         pairs = (b[:, i, None] + b[:, i + 1 :]) / np.sqrt(2)
-        bad = _non_product(np.linalg.svd(pairs.T.reshape(-1, d1, d2), compute_uv=False), tol)
+        bad = np.flatnonzero(schmidt_ranks(space, pairs.T, tol) != 1)
         if bad.size:
             raise _hypothesis_error((i, i + 1 + int(bad[0])))
     raise SlicePatternError(

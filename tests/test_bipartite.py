@@ -16,6 +16,7 @@ from entkit.bipartite import (
     product_state,
     schmidt,
     schmidt_rank,
+    schmidt_ranks,
     trace_distance,
 )
 from entkit.errors import DimensionError, NormalizationError
@@ -98,6 +99,19 @@ class TestSchmidtRank:
         plus = (E2[0] + E2[1]) / np.sqrt(2)
         image = cnot() @ np.kron(plus, E2[0])
         assert schmidt_rank(PureState(BipartiteSpace(2, 2), image)) == 2
+
+    def test_stack_matches_per_state_rank(self):
+        space = BipartiteSpace(2, 3)
+        states = [product_state(random_state(2, s), random_state(3, s + 1)) for s in range(5)]
+        states += [PureState(space, random_state(6, s)) for s in range(5)]
+        vecs = np.stack([psi.vec for psi in states])
+        ranks = schmidt_ranks(space, vecs)
+        assert ranks.tolist() == [schmidt_rank(psi) for psi in states] == [1] * 5 + [2] * 5
+
+    def test_stack_needs_no_unit_norm(self):
+        # Images of a coupling unitary only within tol are tested as they are.
+        vecs = np.stack([np.kron(E2[0], E2[1]) * 1.01, (np.eye(4)[0] + np.eye(4)[3]) * 3])
+        assert schmidt_ranks(BipartiteSpace(2, 2), vecs).tolist() == [1, 2]
 
 
 class TestIsProduct:

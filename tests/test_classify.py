@@ -573,6 +573,26 @@ class TestSliceAgainstVoteReference:
                 assert _phase_aligned(want[2], got[2]) < bound
                 assert _phase_aligned(want[3], got[3]) < bound
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    @pytest.mark.parametrize("case", ["identity-1x2", "swap-2x2", "identity-4x2"])
+    def test_phi0_norm_slack_within_tol(self, case, eps, sign):
+        # | ||phi0|| - 1 | = 0.9 tol passes the norm check, so the form the
+        # vote returned must still come back, not a SlicePatternError.
+        u, d1, d2, phi0 = {
+            "identity-1x2": (np.eye(2), 1, 2, np.eye(2)[0]),
+            "swap-2x2": (swap_unitary(2), 2, 2, np.eye(2)[0]),
+            "identity-4x2": (np.eye(8), 4, 2, np.ones(2) / np.sqrt(2)),
+        }[case]
+        phi0 = phi0 * (1 + sign * 0.9 * eps)
+        tol = Tolerance(eps)
+        want = _slice_outcome(_vote_classify_slice, u, d1, d2, phi0, tol)
+        got = _slice_outcome(classify_slice, u, d1, d2, phi0, tol)
+        assert want[0] in ("local_on_object", "transfer_to_probe")
+        assert got[0] == want[0]
+        assert _phase_aligned(want[2], got[2]) < 1e-12
+        assert _phase_aligned(want[3], got[3]) < 1e-12
+
     def test_loose_tol_names_first_row_major_pair(self):
         # At tol 0.1 no form fits this diagonal coupling; the vote reported
         # pair (0, 2), the first row-major non-product pair is (0, 1).
