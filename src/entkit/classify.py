@@ -363,7 +363,7 @@ def brute_force_non_entangling(
 def _hypothesis_error(indices: tuple[int, ...]) -> SliceHypothesisError:
     label = "basis vector" if len(indices) == 1 else "superposition of basis vectors"
     return SliceHypothesisError(
-        f"image of {label} {indices} ⊗ phi0 is not a product state", indices
+        f"image of {label} ⊗ phi0 is not a product state (offending indices {indices})", indices
     )
 
 

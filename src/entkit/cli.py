@@ -1,14 +1,15 @@
 """Command-line front-end.
 
-Subcommands: classify, slice, measure, path, verify, gen. All reports embed
-the tool version, tolerance, seed and the claim tag they instantiate, and are
-byte-identical across runs for identical inputs. Output files are written
-atomically (temp file plus rename), so no partial files survive an error.
+Subcommands: classify, slice, measure, path, verify, gen. Each accepts only
+the flags it reads. All reports embed the tool version, tolerance and the
+claim tag they instantiate (and the seed, where the command draws random
+numbers), and are byte-identical across runs for identical inputs. Output
+files are written atomically (temp file plus rename), so no partial files
+survive an error.
 
 Exit codes: 0 success (an "entangling" verdict is a successful
-classification), 1 verification-suite failure, 2 malformed input or usage,
-3 input not unitary within tolerance, 4 hypothesis violation (non-product
-slice image, no slice form within tolerance, invalid POVM).
+classification), 1 verification-suite failure, 2 usage error (argparse),
+otherwise the first ``EXIT_CODES`` entry the library error is an instance of.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     SlicePatternError,
     WitnessSearchError,
 )
-from .linalg import DEFAULT_SEED, Tolerance, haar_unitary, random_state, swap_unitary
+from .linalg import DEFAULT_SEED, DEFAULT_TOL, Tolerance, haar_unitary, random_state, swap_unitary
 from .measurement import (
     disturbance,
     is_trivial_povm,
@@ -62,41 +63,35 @@ from .serialize import (
     write_atomic,
 )
 
-EXIT_OK = 0
-EXIT_SUITE_FAILURE = 1
-EXIT_BAD_INPUT = 2
-EXIT_NOT_UNITARY = 3
-EXIT_HYPOTHESIS = 4
+# Library error -> exit code, most specific class first. main() is the only
+# place that maps an error to a code; usage errors exit 2 from argparse.
+EXIT_CODES = {
+    NonUnitaryError: 3,
+    SliceHypothesisError: 4,
+    SlicePatternError: 4,
+    InvalidPOVMError: 4,
+    # numerical breakdown, typically a misconfigured tolerance
+    WitnessSearchError: 1,
+    ValueError: 2,
+}
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _validate(args: argparse.Namespace) -> None:
-    """Check the shared flags and turn ``args.tol`` into a Tolerance.
-
-    The seed always has a value (default 0xB05C), so unseeded runs are
-    reproducible.
-    """
-    if args.dims is not None:
-        d1, d2 = args.dims
-        if d1 < 1 or d2 < 1:
-            raise CliError(f"dimensions must be positive, got {d1} {d2}", EXIT_BAD_INPUT)
+def _tolerance(text: str) -> Tolerance:
     try:
-        args.tol = Tolerance(args.tol)
+        return Tolerance(float(text))
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-    if args.steps < 2:
-        raise CliError(f"--steps must be at least 2, got {args.steps}", EXIT_BAD_INPUT)
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _require_dims(args: argparse.Namespace) -> tuple[int, int]:
-    if args.dims is None:
-        raise CliError("--dims d1 d2 is required for this command", EXIT_BAD_INPUT)
-    return tuple(args.dims)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _load_json(path: str):
@@ -104,33 +99,30 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT) from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT) from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load(path: str, parse, what: str):
+    """Parse a JSON file; any defect in it is a plain ValueError (exit 2)."""
+    raw = _load_json(path)
     try:
-        return matrix_from_json(_load_json(path))
+        return parse(raw)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path} is not a valid matrix: {exc}", EXIT_BAD_INPUT) from exc
-
-
-def _load_vector(path: str) -> np.ndarray:
-    try:
-        return vector_from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path} is not a valid vector: {exc}", EXIT_BAD_INPUT) from exc
+        raise ValueError(f"{path} is not a valid {what}: {exc}") from exc
 
 
 def _report_header(claim: str, args: argparse.Namespace) -> dict:
-    return {
+    header = {
         "tool": "entkit",
         "version": __version__,
         "claim": claim,
         "tol": args.tol.eps,
-        "seed": args.seed,
     }
+    if "seed" in args:
+        header["seed"] = args.seed
+    return header
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -143,21 +135,14 @@ def _emit(text: str, out: str | None) -> None:
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(report)
-    if fmt == "text":
-        lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(report.items())]
-        return "\n".join(lines) + "\n"
-    raise CliError(f"format {fmt!r} not supported for this command", EXIT_BAD_INPUT)
+    lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(report.items())]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    d1, d2 = _require_dims(args)
-    u = _load_matrix(args.input)
-    try:
-        form = classify_unitary(u, d1, d2, args.tol, args.seed)
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-    except NonUnitaryError as exc:
-        raise CliError(f"{exc} (unitarity defect {exc.defect:.6e})", EXIT_NOT_UNITARY) from exc
+    d1, d2 = args.dims
+    u = _load(args.input, matrix_from_json, "matrix")
+    form = classify_unitary(u, d1, d2, args.tol, args.seed)
     report = _report_header("theorem-classification", args)
     report["dims"] = [d1, d2]
     report["verdict"] = form.verdict
@@ -178,23 +163,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "second_schmidt_coeff": form.second_coeff,
         }
     _emit(_render(report, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    d1, d2 = _require_dims(args)
-    u = _load_matrix(args.input)
-    phi0 = _load_vector(args.phi0)
-    try:
-        form = classify_slice(u, d1, d2, phi0, args.tol)
-    except SliceHypothesisError as exc:
-        raise CliError(f"{exc} (offending indices {exc.indices})", EXIT_HYPOTHESIS) from exc
-    except SlicePatternError as exc:
-        raise CliError(str(exc), EXIT_HYPOTHESIS) from exc
-    except NonUnitaryError as exc:
-        raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
-    except (DimensionError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    d1, d2 = args.dims
+    u = _load(args.input, matrix_from_json, "matrix")
+    phi0 = _load(args.phi0, vector_from_json, "vector")
+    form = classify_slice(u, d1, d2, phi0, args.tol)
     report = _report_header("prop1-slice", args)
     report["dims"] = [d1, d2]
     report["form"] = form.form
@@ -205,28 +181,16 @@ def cmd_slice(args: argparse.Namespace) -> int:
     report["phi_prime"] = vector_to_json(form.phi_prime)
     report["residual"] = slice_residual(form, u, d1, d2, phi0)
     _emit(_render(report, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    raw = _load_json(args.scheme)
-    try:
-        scheme = scheme_from_json(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"invalid scheme: {exc}", EXIT_BAD_INPUT) from exc
-    phi = _load_vector(args.state)
-    try:
-        induced = measured_observable(scheme, args.tol)
-        probs = outcome_probabilities(scheme, phi, args.tol)
-        rho = DensityOperator.from_pure(phi)
-        dist = disturbance(scheme, rho, args.tol)
-    except InvalidPOVMError as exc:
-        raise CliError(f"invalid POVM: {exc.report}", EXIT_HYPOTHESIS) from exc
-    except NonUnitaryError as exc:
-        raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
-    except ValueError as exc:
-        # covers normalization and dimension defects
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    scheme = _load(args.scheme, scheme_from_json, "scheme")
+    phi = _load(args.state, vector_from_json, "vector")
+    induced = measured_observable(scheme, args.tol)
+    probs = outcome_probabilities(scheme, phi, args.tol)
+    rho = DensityOperator.from_pure(phi)
+    dist = disturbance(scheme, rho, args.tol)
     trivial, scalars = is_trivial_povm(induced, args.tol)
     report = _report_header("prob-reproducibility", args)
     report["outcomes"] = list(probs.labels)
@@ -237,25 +201,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
     report["triviality_deviation"] = triviality_deviation(induced)
     report["disturbance"] = dist
     _emit(_render(report, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    d1, d2 = _require_dims(args)
-    u = _load_matrix(args.input)
+    d1, d2 = args.dims
+    u = _load(args.input, matrix_from_json, "matrix")
     if args.probe_init:
-        probe_init = _load_vector(args.probe_init)
+        probe_init = _load(args.probe_init, vector_from_json, "vector")
     else:
         probe_init = np.eye(d2)[0]
-    try:
-        path = geodesic_path(u, d1, d2, args.tol)
-        profile = entanglement_profile(
-            path, probe_init, args.steps, args.seed, args.samples, args.tol
-        )
-    except NonUnitaryError as exc:
-        raise CliError(str(exc), EXIT_NOT_UNITARY) from exc
-    except (DimensionError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    path = geodesic_path(u, d1, d2, args.tol)
+    profile = entanglement_profile(
+        path, probe_init, args.steps, args.seed, args.samples, args.tol
+    )
     best = profile.max_point()
     summary = (
         f"max entropy {best.max_entropy_bits:.6f} bits at t={best.t} "
@@ -265,7 +224,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     print(summary, file=sys.stderr)
     if args.format == "csv":
         _emit(profile_csv(profile.points), args.out)
-        return EXIT_OK
+        return 0
     report = _report_header("swap-obstruction", args)
     report["dims"] = [d1, d2]
     report["n_steps"] = args.steps
@@ -290,13 +249,13 @@ def cmd_path(args: argparse.Namespace) -> int:
         # the grid data also lands next to the report as CSV
         base = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
         write_atomic(base + ".csv", profile_csv(profile.points))
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_all(args.seed, args.tol)
     _emit(_render(report, args.format), args.out)
-    return EXIT_OK if report["passed"] else EXIT_SUITE_FAILURE
+    return 0 if report["passed"] else 1
 
 
 # name -> builder(args, d1, d2) of the JSON object `gen` emits.
@@ -322,13 +281,11 @@ _EQUAL_DIM_FIXTURES = ("swap", "dressed-swap", "swap-scheme")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    d1, d2 = args.dims or (2, 2)
-    if args.name not in FIXTURES:
-        raise CliError(f"unknown fixture name {args.name!r}", EXIT_BAD_INPUT)
+    d1, d2 = args.dims
     if args.name in _EQUAL_DIM_FIXTURES and d1 != d2:
-        raise CliError(f"{args.name} requires equal dimensions", EXIT_BAD_INPUT)
+        raise DimensionError(f"{args.name} requires equal dimensions")
     _emit(canonical_json(FIXTURES[args.name](args, d1, d2)), args.out)
-    return EXIT_OK
+    return 0
 
 
 COMMANDS = {
@@ -348,63 +305,75 @@ def build_parser() -> argparse.ArgumentParser:
         "measurement schemes, entanglement dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = dict(type=_tolerance, default=DEFAULT_TOL, help="absolute tolerance (default 1e-9)")
+    seed = dict(
+        type=int, default=DEFAULT_SEED,
+        help="RNG seed (default 0xB05C for reproducible unseeded runs)",
+    )
+    dims = dict(type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), required=True)
 
-    def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
-        p.add_argument(
-            "--seed", type=int, default=DEFAULT_SEED,
-            help="RNG seed (default 0xB05C for reproducible unseeded runs)",
-        )
-        p.add_argument("--dims", type=int, nargs=2, metavar=("D1", "D2"), default=None)
-        p.add_argument("--steps", type=int, default=64, help="path grid intervals")
-        p.add_argument("--samples", type=int, default=8, help="random input count")
-        p.add_argument("--out", default=None, help="output path (stdout if absent)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def command(name: str, help: str, formats=("json", "text")) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", help="output path (stdout if absent)")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        return p
 
-    p = sub.add_parser("classify", help="classify a bipartite unitary")
+    p = command("classify", "classify a bipartite unitary")
     p.add_argument("input", help="matrix JSON file")
-    add_common(p)
+    p.add_argument("--tol", **tol)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--dims", **dims)
 
-    p = sub.add_parser("slice", help="classify the action on a fixed probe slice")
+    p = command("slice", "classify the action on a fixed probe slice")
     p.add_argument("input", help="matrix JSON file")
     p.add_argument("--phi0", required=True, help="probe vector JSON file")
-    add_common(p)
+    p.add_argument("--tol", **tol)
+    p.add_argument("--dims", **dims)
 
-    p = sub.add_parser("measure", help="evaluate a measurement scheme on a state")
+    p = command("measure", "evaluate a measurement scheme on a state")
     p.add_argument("--scheme", required=True, help="scheme JSON file")
     p.add_argument("--state", required=True, help="object state JSON file")
-    add_common(p)
+    p.add_argument("--tol", **tol)
 
-    p = sub.add_parser("path", help="entanglement profile along the path to a coupling")
+    p = command(
+        "path", "entanglement profile along the path to a coupling", ("json", "csv", "text")
+    )
     p.add_argument("input", help="endpoint matrix JSON file")
-    p.add_argument("--probe-init", default=None, help="probe vector JSON file")
-    add_common(p)
+    p.add_argument("--probe-init", help="probe vector JSON file")
+    p.add_argument("--tol", **tol)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--dims", **dims)
+    p.add_argument("--steps", type=_int_at_least(2), default=64, help="path grid intervals")
+    p.add_argument(
+        "--samples", type=_int_at_least(0), default=8, help="random product input count"
+    )
 
-    p = sub.add_parser("verify", help="run the full invariant corpus")
-    add_common(p)
+    p = command("verify", "run the full invariant corpus")
+    p.add_argument("--tol", **tol)
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("gen", help="emit a named fixture as JSON")
-    # No argparse choices: an unknown name must return 2 from main(), not exit.
-    p.add_argument("name", help=" | ".join(FIXTURES))
+    p = command("gen", "emit a named fixture as JSON", formats=None)
+    p.add_argument("name", choices=FIXTURES, metavar="name", help=" | ".join(FIXTURES))
+    p.add_argument("--seed", **seed)
+    p.add_argument("--dims", **{**dims, "required": False, "default": (2, 2)})
+    p.add_argument("--samples", type=int, default=8, help="random-povm outcome count (at least 2)")
     p.add_argument("--phase", type=float, default=float(np.pi) / 2)
     p.add_argument("--probe-control", action="store_true")
-    add_common(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _validate(args)
-        return COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
         return exc.code
-    except WitnessSearchError as exc:
-        # numerical breakdown, typically a misconfigured tolerance
+    try:
+        return COMMANDS[args.command](args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUITE_FAILURE
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .linalg import (
     as_vector,
     exp_i_hermitian,
     probe_states,
+    require_unit,
     rng_from_seed,
     split_seed,
     unitary_log,
@@ -145,6 +146,7 @@ def entanglement_profile(
     d1, d2 = p.space.d1, p.space.d2
     if probe_init.size != d2:
         raise DimensionError(f"probe_init dimension {probe_init.size} != d2 {d2}")
+    require_unit(probe_init, tol, "probe_init")
     inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     vecs = np.stack([vec for _, vec in inputs])
     points = []

@@ -36,8 +36,8 @@ class Tolerance:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"tolerance must be non-negative, got {self.eps}")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"tolerance must be finite and non-negative, got {self.eps}")
 
 
 DEFAULT_TOL = Tolerance()

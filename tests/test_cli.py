@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entkit.cli import FIXTURES, main
+from entkit.cli import COMMANDS, EXIT_CODES, FIXTURES, build_parser, main
+from entkit.errors import SliceHypothesisError
 from entkit.fixtures import cnot, controlled_phase
 from entkit.linalg import swap_unitary
 from entkit.serialize import canonical_json, matrix_to_json, vector_to_json
@@ -28,6 +30,19 @@ def e0_file(tmp_path):
 
 def run_cli(args):
     return main(list(args))
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def accepted_flags(p: argparse.ArgumentParser) -> list[str]:
+    return sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+
+
+def format_choices(p: argparse.ArgumentParser) -> list[str] | None:
+    return next((list(a.choices) for a in p._actions if "--format" in a.option_strings), None)
 
 
 class TestClassifyCommand:
@@ -254,6 +269,14 @@ class TestPathCommand:
         assert run_cli(["path", path, "--dims", "1", "2"]) == 2
         assert "square" in capsys.readouterr().err
 
+    def test_probe_init_norm_checked_at_tol(self, tmp_path, capsys):
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        probe = write_json(tmp_path / "probe.json", vector_to_json(np.eye(2)[0] * (1 + 1e-7)))
+        args = ["path", path, "--dims", "2", "2", "--steps", "2", "--probe-init", probe]
+        assert run_cli(args) == 2
+        assert "probe_init norm" in capsys.readouterr().err
+        assert run_cli(args + ["--tol", "1e-6"]) == 0
+
     def test_json_out_writes_csv_sibling(self, tmp_path, capsys):
         path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         out = tmp_path / "profile.json"
@@ -306,6 +329,116 @@ class TestGenCommand:
         paragraph = readme.split("Fixture names for `gen`:")[1].split("\n\n")[0]
         names = [n for n in re.findall(r"`([^`]+)`", paragraph) if not n.startswith("--")]
         assert names == list(FIXTURES)
+
+
+# subcommand -> (flags it accepts, --format choices or None)
+ACCEPTED_FLAGS = {
+    "classify": (["--dims", "--format", "--out", "--seed", "--tol"], ["json", "text"]),
+    "slice": (["--dims", "--format", "--out", "--phi0", "--tol"], ["json", "text"]),
+    "measure": (["--format", "--out", "--scheme", "--state", "--tol"], ["json", "text"]),
+    "path": (
+        ["--dims", "--format", "--out", "--probe-init", "--samples", "--seed", "--steps", "--tol"],
+        ["json", "csv", "text"],
+    ),
+    "verify": (["--format", "--out", "--seed", "--tol"], ["json", "text"]),
+    "gen": (["--dims", "--out", "--phase", "--probe-control", "--samples", "--seed"], None),
+}
+
+
+class TestFlagContract:
+    def test_each_subcommand_accepts_only_its_flags(self):
+        parsers = subparsers()
+        assert list(parsers) == list(COMMANDS)
+        for name, p in parsers.items():
+            assert (accepted_flags(p), format_choices(p)) == ACCEPTED_FLAGS[name], name
+
+    def test_readme_lists_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Flags per subcommand:")[1].split("\n\n")[0]
+        listed = {}
+        for item in paragraph.split("\n- ")[1:]:
+            name = re.match(r"`(\w+)", item).group(1)
+            flags = sorted(set(re.findall(r"`(--[a-z0-9-]+)", item)))
+            fmt = re.search(r"`--format ([a-z|]+)`", item)
+            listed[name] = (flags, fmt.group(1).split("|") if fmt else None)
+        assert listed == ACCEPTED_FLAGS
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("slice", ["--seed", "7"]),
+            ("measure", ["--dims", "2", "2"]),
+            ("verify", ["--steps", "4"]),
+            ("classify", ["--samples", "3"]),
+            ("gen", ["--tol", "1e-3"]),
+        ],
+    )
+    def test_dropped_flag_is_usage_error(self, command, flag, tmp_path, capsys, e0_file):
+        swap = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        scheme = str(tmp_path / "s.json")
+        run_cli(["gen", "swap-scheme", "--out", scheme])
+        valid = {
+            "slice": ["slice", swap, "--phi0", e0_file, "--dims", "2", "2"],
+            "measure": ["measure", "--scheme", scheme, "--state", e0_file],
+            "verify": ["verify", "--tol", "1e-30"],
+            "classify": ["classify", swap, "--dims", "2", "2"],
+            "gen": ["gen", "swap"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(valid + flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert run_cli(["--help"]) == 0
+        assert "classify" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_non_finite_tolerance_exit_2(self, tol, tmp_path, capsys):
+        # All-2s passes "defect > nan" as unitary; it must never reach the check.
+        path = write_json(tmp_path / "twos.json", matrix_to_json(np.full((4, 4), 2.0)))
+        assert run_cli(["classify", path, "--dims", "2", "2", "--tol", tol]) == 2
+        assert "finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--dims", "0", "2"], "--dims: must be at least 1, got 0"),
+            (["--steps", "1"], "--steps: must be at least 2, got 1"),
+            (["--samples", "-1"], "--samples: must be at least 0, got -1"),
+            (["--steps", "two"], "--steps: invalid int value: 'two'"),
+        ],
+    )
+    def test_int_values_checked_by_parser(self, flag, message, tmp_path, capsys):
+        swap = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        assert run_cli(["path", swap, "--dims", "2", "2", *flag]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, has_seed", [
+        ("classify", True), ("slice", False), ("measure", False), ("path", True),
+    ])
+    def test_seed_only_where_drawn(self, command, has_seed, tmp_path, capsys, e0_file):
+        swap = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        scheme = str(tmp_path / "s.json")
+        run_cli(["gen", "swap-scheme", "--out", scheme])
+        argv = {
+            "classify": ["classify", swap, "--dims", "2", "2"],
+            "slice": ["slice", swap, "--phi0", e0_file, "--dims", "2", "2"],
+            "measure": ["measure", "--scheme", scheme, "--state", e0_file],
+            "path": ["path", swap, "--dims", "2", "2", "--steps", "2"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert ("seed" in json.loads(capsys.readouterr().out)) is has_seed
+
+
+@pytest.mark.parametrize("cls", EXIT_CODES)
+def test_exit_code_table_reached_through_main(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom", (0,)) if cls is SliceHypothesisError else cls("boom")
+
+    monkeypatch.setitem(COMMANDS, "verify", fail)
+    assert run_cli(["verify"]) == EXIT_CODES[cls]
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestDeterminism:

@@ -12,9 +12,10 @@ from entkit.dynamics import (
     path_point,
     profile_inputs,
 )
-from entkit.errors import NonUnitaryError
+from entkit.errors import NonUnitaryError, NormalizationError
 from entkit.fixtures import cnot, haar_product
 from entkit.linalg import (
+    Tolerance,
     exp_i_hermitian,
     probe_states,
     random_hermitian,
@@ -174,6 +175,13 @@ class TestEntanglementProfile:
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         entanglement_profile(path, E2[0], n_steps=64)
         assert len(calls) <= 1
+
+    def test_probe_init_norm_checked_at_tol(self):
+        path = geodesic_path(swap_unitary(2), 2, 2)
+        near = E2[0] * (1 + 1e-7)
+        with pytest.raises(NormalizationError, match="probe_init norm"):
+            entanglement_profile(path, near, n_steps=2)
+        entanglement_profile(path, near, n_steps=2, tol=Tolerance(1e-6))
 
     def test_constant_path_all_zero(self):
         path = geodesic_path(np.eye(4), 2, 2)

@@ -29,6 +29,13 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative(self, eps):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Tolerance(eps)
+
+
 class TestTensorProduct:
     def test_identity(self):
         np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
