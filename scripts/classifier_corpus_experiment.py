@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cross-validate the spectral classifier against the sampling oracle.
+"""Cross-validate the certificate classifier against the sampling oracle.
 
 Runs the full labeled corpus (products, dressed swaps, generics, diagonal
 couplings over several dimension pairs), compares the classifier verdict with

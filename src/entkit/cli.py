@@ -70,7 +70,7 @@ EXIT_CODES = {
     SliceHypothesisError: 4,
     SlicePatternError: 4,
     InvalidPOVMError: 4,
-    # numerical breakdown, typically a misconfigured tolerance
+    # no certificate either way: an input near the boundary, or a loose tol
     WitnessSearchError: 1,
     ValueError: 2,
 }
@@ -126,10 +126,13 @@ def _report_header(claim: str, args: argparse.Namespace) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_atomic(out, text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        write_atomic(out, text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -248,7 +251,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     if args.out:
         # the grid data also lands next to the report as CSV
         base = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
-        write_atomic(base + ".csv", profile_csv(profile.points))
+        _emit(profile_csv(profile.points), base + ".csv")
     return 0
 
 

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .bipartite import BipartiteSpace, PureState, entanglement_entropies
-from .classify import classify_unitary
-from .errors import DimensionError
+from .classify import _classify
+from .errors import DimensionError, NonUnitaryError
 from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -28,6 +28,7 @@ from .linalg import (
     require_unit,
     rng_from_seed,
     split_seed,
+    unitarity_defect,
     unitary_log,
 )
 
@@ -147,6 +148,13 @@ def entanglement_profile(
     if probe_init.size != d2:
         raise DimensionError(f"probe_init dimension {probe_init.size} != d2 {d2}")
     require_unit(probe_init, tol, "probe_init")
+    # One check for every U_t = V e^{itw} V^†: with E = V^†V - I, δ = ||E||_F,
+    # U_t^†U_t - I = (VV^† - I) + V e^{-itw} E e^{itw} V^†, where VV^† - I
+    # has the norm of E and ||V||² <= 1 + δ, so each defect is <= δ(2 + δ).
+    delta = unitarity_defect(p._eigh[1])
+    bound = delta * (2 + delta)
+    if bound > tol.eps:
+        raise NonUnitaryError(f"path is not unitary: defect bound {bound:.3e}", bound)
     inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     vecs = np.stack([vec for _, vec in inputs])
     points = []
@@ -156,7 +164,7 @@ def entanglement_profile(
         entropies = entanglement_entropies(p.space, vecs @ u_t.T)
         # argmax takes the first maximum, as a strict > scan over the inputs would.
         best = int(np.argmax(entropies))
-        form = classify_unitary(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}"))
+        form = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}"))
         points.append(
             ProfilePoint(
                 t=t,

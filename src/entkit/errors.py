@@ -52,8 +52,9 @@ class InvalidPOVMError(ValueError):
 
 
 class WitnessSearchError(RuntimeError):
-    """Entanglement witness search exhausted its deterministic candidate list.
+    """No product or swap form reconstructs U within 10 * tol, and no probed
+    image has a second Schmidt coefficient above it.
 
-    Signals tolerance misconfiguration, not a genuine counterexample to the
-    product/swap dichotomy.
+    Signals an input near that boundary or a tolerance too loose, not a
+    genuine counterexample to the product/swap dichotomy.
     """

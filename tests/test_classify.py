@@ -221,20 +221,24 @@ class TestSplitRankOne:
     def test_no_worse_than_svd_split(self, case):
         u, d1, d2 = NEAR_PRODUCTS[case]
         r = realign(u, d1, d2)
-        v, w = classify._split_rank_one(r, d1, d2, DEFAULT_TOL)
+        residual, v, w = classify._rank_one_fit(r, d1, d2)
         ref_v, ref_w = _svd_split(r, d1, d2)
         err = np.linalg.norm(u - np.kron(v, w))
         ref = np.linalg.norm(u - np.kron(ref_v, ref_w))
         assert err <= 1.01 * ref + 1e-15, (err, ref)
+        # The certificate is the reconstruction error, not a cancelling
+        # difference of squared norms.
+        assert abs(residual - err) <= 1e-15 + 1e-6 * err, (residual, err)
 
 
 class TestDecompositionCounts:
     @pytest.mark.parametrize(
         "u, d, svds",
         [
-            (haar_product(3, 3, 5)[0], 3, 1),
-            (dressed_swap(3, 6)[0], 3, 2),
-            # R(U)'s spectrum rules out a swap form: no SVD of R(U·SWAP).
+            # The product certificate needs no SVD; the swap and entangling
+            # verdicts run one, for the operator-Schmidt rank they report.
+            (haar_product(3, 3, 5)[0], 3, 0),
+            (dressed_swap(3, 6)[0], 3, 1),
             (haar_unitary(9, 7), 3, 1),
         ],
         ids=["product", "dressed-swap", "entangling"],
@@ -244,33 +248,16 @@ class TestDecompositionCounts:
         assert realignment_svds == [(d * d, d * d)] * svds
 
 
-def _form_key(form):
-    """Verdict, rank and the bytes of every array a form carries."""
-    if isinstance(form, Product):
-        arrays = (form.v, form.w)
-    elif isinstance(form, SwapForm):
-        arrays = (form.v21, form.w12)
-    else:
-        arrays = (form.witness.vec, form.input.vec, np.float64(form.second_coeff))
-    return form.verdict, form.op_schmidt_rank, tuple(a.tobytes() for a in arrays)
-
-
-def _outcome(u, d, tol):
-    try:
-        return _form_key(classify_unitary(u, d, d, tol, seed=11))
-    except WitnessSearchError:
-        return "WitnessSearchError"
-
-
-def _pre_test_sweep():
-    """Dressed swaps U0·exp(iδH) across δ, Haar and diagonal couplings, and
-    points of the SWAP geodesic, some within 1e-9 of SWAP."""
+def _boundary_sweep():
+    """Dressed swaps U0·exp(iδH) across δ, Haar products, Haar and diagonal
+    couplings, and points of the SWAP geodesic, some within 1e-9 of SWAP."""
     cases = []
     for d in (2, 3, 4):
         u0, _, _ = dressed_swap(d, 40 + d)
         h = random_hermitian(d * d, 50 + d)
         for delta in np.logspace(-12, -2, 11):
             cases.append((f"dressed-swap:{d}:{delta:.0e}", d, u0 @ exp_i_hermitian(h, delta)))
+        cases.append((f"product:{d}", d, haar_product(d, d, 80 + d)[0]))
         cases.append((f"haar:{d}", d, haar_unitary(d * d, 60 + d)))
         cases.append((f"diagonal:{d}", d, random_diagonal_coupling(d, d, 70 + d)))
         path = geodesic_path(swap_unitary(d), d, d)
@@ -279,39 +266,48 @@ def _pre_test_sweep():
     return cases
 
 
-class TestSwapPreTest:
+class TestCertificates:
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3, 0.5])
-    def test_same_form_as_always_running_the_swap_svd(self, monkeypatch, eps):
-        tol = Tolerance(eps)
-        cases = _pre_test_sweep()
-        answers = []
-        pre_test = classify._may_be_swap_form
+    def test_every_verdict_is_its_certificate(self, eps):
+        tol, margin = Tolerance(eps), 10 * eps
+        verdicts, raised = set(), set()
+        for label, d, u in _boundary_sweep():
+            try:
+                form = classify_unitary(u, d, d, tol, seed=11)
+            except WitnessSearchError:
+                raised.add(label)
+                continue
+            verdicts.add(form.verdict)
+            if isinstance(form, Entangling):
+                image = u @ form.input.vec
+                assert is_product(form.input, tol)[0], label
+                assert np.linalg.svd(image.reshape(d, d), compute_uv=False)[1] > margin, label
+                assert form.second_coeff > margin, label
+            else:
+                assert reconstruction_error(form, u) <= margin, label
+                # A form within the margin leaves no image a witness above it.
+                assert classify._find_witness(u, d, d, margin, 11, 64) is None, label
+        assert verdicts == ({"product"} if eps == 0.5 else {"product", "swap", "entangling"})
+        # The band left between the two certificates: residual above the
+        # margin, no witness found.
+        assert raised == (set() if eps == 0.5 else {f"dressed-swap:{d}:{10 * eps:.0e}" for d in (3, 4)})
 
-        def recorded(s, d, tol):
-            answers.append(pre_test(s, d, tol))
-            return answers[-1]
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_dressed_swap_at_ten_tol_is_swap(self, eps):
+        # At δ = 10·tol the swap residual is within the margin 10·tol.
+        cases = {label: u for label, _, u in _boundary_sweep()}
+        u = cases[f"dressed-swap:2:{10 * eps:.0e}"]
+        form = classify_unitary(u, 2, 2, Tolerance(eps), seed=11)
+        assert isinstance(form, SwapForm)
+        assert reconstruction_error(form, u) <= 10 * eps
 
-        monkeypatch.setattr(classify, "_may_be_swap_form", recorded)
-        fast = [_outcome(u, d, tol) for _, d, u in cases]
-        monkeypatch.setattr(classify, "_may_be_swap_form", lambda s, d, tol: True)
-        reference = [_outcome(u, d, tol) for _, d, u in cases]
-        for (label, _, _), got, want in zip(cases, fast, reference):
-            assert got == want, label
-        # The sweep reaches swap verdicts and, below eps = 0.5, skipped SVDs.
-        assert any(key[0] == "swap" for key in fast)
-        assert (False in answers) == (eps < 0.5)
-
-    def test_dressed_swaps_always_pass(self):
-        for d in (2, 3, 4):
-            for seed in range(20):
-                u, _, _ = dressed_swap(d, seed)
-                s = np.linalg.svd(realign(u, d, d), compute_uv=False)
-                assert classify._may_be_swap_form(s, d, DEFAULT_TOL)
-
-    def test_void_for_eps_at_least_one(self):
-        s = np.linalg.svd(realign(haar_unitary(9, 7), 3, 3), compute_uv=False)
-        assert not classify._may_be_swap_form(s, 3, DEFAULT_TOL)
-        assert classify._may_be_swap_form(s, 3, Tolerance(1.0))
+    def test_swap_factors_match_swapped_columns(self):
+        # The one reshuffle of U reads the same entries as R(U·SWAP).
+        u, _, _ = dressed_swap(3, 6)
+        form = classify_unitary(u, 3, 3)
+        _, v, w = classify._rank_one_fit(realign(classify._swap_columns(u, 3), 3, 3), 3, 3)
+        v, w = classify._fix_phase(v, w, DEFAULT_TOL)
+        assert form.v21.tobytes() == v.tobytes() and form.w12.tobytes() == w.tobytes()
 
 
 class TestOperatorSchmidtRankField:

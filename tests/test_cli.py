@@ -277,6 +277,19 @@ class TestPathCommand:
         assert "probe_init norm" in capsys.readouterr().err
         assert run_cli(args + ["--tol", "1e-6"]) == 0
 
+    def test_one_unitarity_check_per_path(self, tmp_path, capsys, unitarity_checks):
+        # The endpoint's, in the logarithm, and the generator's eigenvectors',
+        # which bound every grid point's defect.
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        unitarity_checks.clear()
+        assert run_cli(["path", path, "--dims", "2", "2", "--steps", "64"]) == 0
+        assert unitarity_checks == [(4, 4)] * 2
+
+    def test_tol_zero_exit_3(self, tmp_path, capsys):
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        assert run_cli(["path", path, "--dims", "2", "2", "--tol", "0"]) == 3
+        assert "path is not unitary" in capsys.readouterr().err
+
     def test_json_out_writes_csv_sibling(self, tmp_path, capsys):
         path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         out = tmp_path / "profile.json"
@@ -431,6 +444,13 @@ class TestFlagContract:
         assert ("seed" in json.loads(capsys.readouterr().out)) is has_seed
 
 
+def test_readme_names_every_exit_code_class():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\d)` \| (.*) \|$", readme, re.MULTILINE))
+    for cls, code in EXIT_CODES.items():
+        assert f"`{cls.__name__}`" in rows[str(code)], (cls.__name__, code)
+
+
 @pytest.mark.parametrize("cls", EXIT_CODES)
 def test_exit_code_table_reached_through_main(cls, monkeypatch, capsys):
     def fail(args):
@@ -479,6 +499,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(out.read_text())["rows"] == 4
+
+    @pytest.mark.parametrize("command", ["classify", "path"])
+    def test_unwritable_out_exit_2(self, command, tmp_path, capsys):
+        swap = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        out = tmp_path / "nodir" / "r.json"
+        assert run_cli([command, swap, "--dims", "2", "2", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_unwritable_csv_sibling_exit_2(self, tmp_path, capsys):
+        swap = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        (tmp_path / "p.csv").mkdir()
+        args = ["path", swap, "--dims", "2", "2", "--steps", "2", "--out", str(tmp_path / "p.json")]
+        assert run_cli(args) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_no_partial_output_on_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -164,9 +164,9 @@ class TestEntanglementProfile:
     def test_realignment_svds_per_profile(self, realignment_svds):
         path = geodesic_path(swap_unitary(3), 3, 3)
         entanglement_profile(path, np.eye(3)[0], n_steps=64)
-        # One per grid point, and a second only at t = 1, where U_t is SWAP:
-        # inside the path R(U_t)'s spectrum rules a swap form out.
-        assert realignment_svds == [(9, 9)] * 66
+        # One per grid point for the operator-Schmidt rank of a swap or
+        # entangling verdict; none at t = 0, where U_t = I is a certified product.
+        assert realignment_svds == [(9, 9)] * 64
 
     def test_one_eigh_per_path(self, monkeypatch):
         path = geodesic_path(swap_unitary(2), 2, 2)
