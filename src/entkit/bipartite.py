@@ -156,7 +156,10 @@ def schmidt_rank(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> int:
 def is_product(
     psi: PureState, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, tuple[np.ndarray, np.ndarray] | None]:
-    """Rank-1 test; on success also returns the (left, right) unit factors."""
+    """Rank-1 test; on success also returns the (left, right) unit factors.
+
+    Nothing in the package calls it. It is kept as the independent
+    reference that the slice and certificate tests compare against."""
     if schmidt_rank(psi, tol) != 1:
         return False, None
     dec = schmidt(psi, tol)

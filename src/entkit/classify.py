@@ -55,21 +55,21 @@ _BATCH_CAP = 1024
 
 @dataclass(frozen=True)
 class Product:
-    """U == V ⊗ W with local unitaries V (d1 x d1) and W (d2 x d2)."""
+    """U == V ⊗ W with local unitaries V (d1 x d1) and W (d2 x d2), within residual."""
 
     v: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
-    op_schmidt_rank: int = field(default=1, init=False)
+    residual: float
     verdict: str = field(default="product", init=False)
 
 
 @dataclass(frozen=True)
 class SwapForm:
-    """U == (V21 ⊗ W12) @ SWAP; only representable when d1 == d2."""
+    """U == (V21 ⊗ W12) @ SWAP within residual; only representable when d1 == d2."""
 
     v21: np.ndarray = field(repr=False)
     w12: np.ndarray = field(repr=False)
-    op_schmidt_rank: int
+    residual: float
     verdict: str = field(default="swap", init=False)
 
 
@@ -81,7 +81,6 @@ class Entangling:
     witness: PureState
     input: PureState
     second_coeff: float
-    op_schmidt_rank: int
     verdict: str = field(default="entangling", init=False)
 
 
@@ -139,6 +138,18 @@ def operator_schmidt_rank(
     """Rank of the realignment; singular values count when > tol.eps * sigma_max."""
     s = np.linalg.svd(realign(u, d1, d2), compute_uv=False)
     return int(np.count_nonzero(s > tol.eps * s[0]))
+
+
+def _witness_margin(tol: Tolerance) -> float:
+    """The verdict margin 10 * tol.eps. ValueError unless it is below
+    1/sqrt(2), the largest second Schmidt coefficient: from there up no
+    witness can exist and any form, however far off, would pass."""
+    if 10 * tol.eps >= 1 / np.sqrt(2):
+        raise ValueError(
+            f"tol {tol.eps:g} is too loose: 10*tol must be below 1/sqrt(2), the largest "
+            "second Schmidt coefficient, so tol must be below 0.0707"
+        )
+    return 10 * tol.eps
 
 
 def _rank_one_fit(r: np.ndarray, d1: int, d2: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -255,16 +266,16 @@ def _classify(
     u: np.ndarray, d1: int, d2: int, tol: Tolerance, seed: int
 ) -> NonEntanglingForm:
     """classify_unitary for a u that already passed its checks."""
-    margin = 10 * tol.eps
+    margin = _witness_margin(tol)
     residual, v, w = _rank_one_fit(realign(u, d1, d2), d1, d2)
     if residual <= margin:
-        return Product(*_fix_phase(v, w, tol))
+        return Product(*_fix_phase(v, w, tol), residual)
     if d1 == d2:
         # R(U·SWAP)[(i,k), (j,l)] = U[(i,j), (l,k)]: one reshuffle of U.
         r_swap = u.reshape(d1, d1, d1, d1).transpose(0, 3, 1, 2).reshape(d1 * d1, d1 * d1)
         residual, v, w = _rank_one_fit(r_swap, d1, d1)
         if residual <= margin:
-            return SwapForm(*_fix_phase(v, w, tol), operator_schmidt_rank(u, d1, d2, tol))
+            return SwapForm(*_fix_phase(v, w, tol), residual)
     hit = _find_witness(u, d1, d2, margin, seed, WITNESS_SAMPLES)
     if hit is None:
         raise WitnessSearchError(
@@ -276,7 +287,7 @@ def _classify(
     # Normalized: u passed the unitarity check only within tol.
     image = u @ inp.vec
     witness = PureState(inp.space, image / np.linalg.norm(image))
-    return Entangling(witness, inp, coeff, operator_schmidt_rank(u, d1, d2, tol))
+    return Entangling(witness, inp, coeff)
 
 
 def classify_unitary(
@@ -296,9 +307,10 @@ def classify_unitary(
     WitnessSearchError. The verdicts exclude each other: for a unit product
     x, (V ⊗ W)x is a product and singular values move by at most the norm of
     a perturbation, so Ux has second coefficient <= ||U - V ⊗ W||_F; likewise
-    for (V ⊗ W)·SWAP. Swap and entangling forms carry the operator-Schmidt
-    rank of U; a product's is 1.
+    for (V ⊗ W)·SWAP. A form carries that residual. m >= 1/sqrt(2) raises
+    ValueError before any work on U: no witness can exist there.
     """
+    _witness_margin(tol)
     return _classify(_check_bipartite_unitary(u, d1, d2, tol), d1, d2, tol, seed)
 
 
@@ -308,8 +320,7 @@ def reconstruction_error(form: NonEntanglingForm, u: np.ndarray) -> float:
     if isinstance(form, Product):
         return frobenius(u - tensor_product(form.v, form.w))
     if isinstance(form, SwapForm):
-        d = form.v21.shape[0]
-        return frobenius(u - _swap_columns(tensor_product(form.v21, form.w12), d))
+        return frobenius(u - _swap_columns(tensor_product(form.v21, form.w12), form.v21.shape[0]))
     return float("nan")
 
 
@@ -353,17 +364,18 @@ def _slice_prediction(form: SliceForm) -> np.ndarray:
 
 def _fits(form: SliceForm, b: np.ndarray, check_tol: float) -> bool:
     """Whether the form predicts every pair image (e_i + e_j)/sqrt(2) ⊗ phi0
-    within check_tol and its map is an isometry within check_tol.
+    within check_tol: both sides are linear, so a pair's deviation is
+    ||r_i + r_j||/sqrt(2) over the columns r_i of R = B - prediction.
 
-    Both sides are linear, so a pair's deviation is ||r_i + r_j||/sqrt(2)
-    over the columns r_i of B minus the form's prediction.
+    No isometry check is needed. Either form projects B, so for V (and W12
+    alike) V^†V - I = (B^†B - I) - R^†R; B^†B - I is a compression of
+    U^†U - I, so ||V^†V - I||_F <= defect + ||R||_F^2.
     """
     r = b - _slice_prediction(form)
-    for i in range(r.shape[1] - 1):
-        if (np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2) > check_tol).any():
-            return False
-    iso = form.v if isinstance(form, LocalOnObject) else form.w12
-    return frobenius(iso.conj().T @ iso - np.eye(iso.shape[1])) <= check_tol
+    return not any(
+        (np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2) > check_tol).any()
+        for i in range(r.shape[1] - 1)
+    )
 
 
 def classify_slice(
@@ -379,7 +391,7 @@ def classify_slice(
     is a product, with one stacked SVD. Image 0 = a ⊗ c then fixes both
     candidate forms: LocalOnObject(V = (I ⊗ c^†)B, c) and
     TransferToProbe(a, W12 = (a^† ⊗ I)B), and the first that predicts every
-    pair superposition image and is an isometry is returned. Raises
+    pair superposition image is returned. Raises
     SliceHypothesisError with the offending indices when a basis image, or
     (if neither form fits) the first pair image in row-major order, is not a
     product, and SlicePatternError when every image is a product yet neither
@@ -390,8 +402,8 @@ def classify_slice(
     if phi0.size != d2:
         raise DimensionError(f"phi0 has dimension {phi0.size}, probe space needs {d2}")
     require_unit(phi0, tol, "phi0")
-    # Unit phi0, so B^†B - I is a compression of U^†U - I and the isometry
-    # check sees no norm slack that require_unit let through.
+    # Unit phi0, so B^†B - I is a compression of U^†U - I and a fitting
+    # form's isometry defect has no norm slack that require_unit let through.
     b = slice_map(u, d1, d2, phi0 / np.linalg.norm(phi0))
     space = BipartiteSpace(d1, d2)
 
@@ -419,7 +431,7 @@ def classify_slice(
             raise _hypothesis_error((i, i + 1 + int(bad[0])))
     raise SlicePatternError(
         "every probed image is a product, yet neither the local nor the transfer "
-        f"form predicts the pair images as an isometry within {check_tol:.1e}"
+        f"form predicts the pair images within {check_tol:.1e}"
     )
 
 

@@ -22,12 +22,11 @@ import numpy as np
 
 from . import __version__, fixtures, verify
 from .classify import (
+    Entangling,
     LocalOnObject,
     Product,
-    SwapForm,
     classify_slice,
     classify_unitary,
-    reconstruction_error,
     slice_residual,
 )
 from .dynamics import entanglement_profile, geodesic_path
@@ -149,15 +148,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report = _report_header("theorem-classification", args)
     report["dims"] = [d1, d2]
     report["verdict"] = form.verdict
-    if isinstance(form, Product):
-        report["factors"] = {"v": matrix_to_json(form.v), "w": matrix_to_json(form.w)}
-        report["reconstruction_error"] = reconstruction_error(form, u)
-        report["witness"] = None
-    elif isinstance(form, SwapForm):
-        report["factors"] = {"v21": matrix_to_json(form.v21), "w12": matrix_to_json(form.w12)}
-        report["reconstruction_error"] = reconstruction_error(form, u)
-        report["witness"] = None
-    else:
+    if isinstance(form, Entangling):
         report["factors"] = None
         report["reconstruction_error"] = None
         report["witness"] = {
@@ -165,6 +156,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "image": state_to_json(form.witness),
             "second_schmidt_coeff": form.second_coeff,
         }
+    else:
+        names = ("v", "w") if isinstance(form, Product) else ("v21", "w12")
+        report["factors"] = {name: matrix_to_json(getattr(form, name)) for name in names}
+        report["reconstruction_error"] = form.residual
+        report["witness"] = None
     _emit(_render(report, args.format), args.out)
     return 0
 
@@ -240,7 +236,6 @@ def cmd_path(args: argparse.Namespace) -> int:
         {
             "t": pt.t,
             "max_entropy_bits": pt.max_entropy_bits,
-            "op_schmidt_rank": pt.op_schmidt_rank,
             "verdict": pt.verdict,
             "maximizing_input_id": pt.maximizing_input_id,
             "maximizing_input": vector_to_json(pt.maximizing_input),

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .bipartite import BipartiteSpace, PureState, entanglement_entropies
-from .classify import _classify
+from .classify import _classify, _witness_margin
 from .errors import DimensionError, NonUnitaryError
 from .linalg import (
     DEFAULT_SEED,
@@ -92,7 +92,6 @@ class ProfilePoint:
     max_entropy_bits: float
     maximizing_input_id: str
     maximizing_input: np.ndarray = field(repr=False)
-    op_schmidt_rank: int
     verdict: str
 
 
@@ -139,10 +138,11 @@ def entanglement_profile(
     t = 0, 1/2 for even n_steps, and 1 exactly). At each grid point the
     maximum output entanglement entropy over a deterministic input family
     plus seeded random product inputs is recorded, together with the
-    operator-Schmidt rank and the classification verdict of U_t.
+    verdict of U_t; a tol too loose for classify_unitary raises ValueError.
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps, got {n_steps}")
+    _witness_margin(tol)
     probe_init = as_vector(probe_init)
     d1, d2 = p.space.d1, p.space.d2
     if probe_init.size != d2:
@@ -165,16 +165,8 @@ def entanglement_profile(
         # argmax takes the first maximum, as a strict > scan over the inputs would.
         best = int(np.argmax(entropies))
         form = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}"))
-        points.append(
-            ProfilePoint(
-                t=t,
-                max_entropy_bits=float(entropies[best]),
-                maximizing_input_id=inputs[best][0],
-                maximizing_input=inputs[best][1],
-                op_schmidt_rank=form.op_schmidt_rank,
-                verdict=form.verdict,
-            )
-        )
+        # inputs[best] is the (maximizing_input_id, maximizing_input) pair.
+        points.append(ProfilePoint(t, float(entropies[best]), *inputs[best], form.verdict))
     return EntanglementProfile(p.space, tuple(points))
 
 

@@ -118,12 +118,9 @@ def canonical_json(obj) -> str:
 
 def profile_csv(points) -> str:
     """CSV with one row per grid point of an entanglement profile."""
-    lines = ["t,max_entropy_bits,op_schmidt_rank,verdict,maximizing_input_id"]
+    lines = ["t,max_entropy_bits,verdict,maximizing_input_id"]
     for pt in points:
-        lines.append(
-            f"{pt.t!r},{pt.max_entropy_bits!r},{pt.op_schmidt_rank},"
-            f"{pt.verdict},{pt.maximizing_input_id}"
-        )
+        lines.append(f"{pt.t!r},{pt.max_entropy_bits!r},{pt.verdict},{pt.maximizing_input_id}")
     return "\n".join(lines) + "\n"
 
 

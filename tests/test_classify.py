@@ -233,19 +233,19 @@ class TestSplitRankOne:
 
 class TestDecompositionCounts:
     @pytest.mark.parametrize(
-        "u, d, svds",
+        "u, d, verdict",
         [
-            # The product certificate needs no SVD; the swap and entangling
-            # verdicts run one, for the operator-Schmidt rank they report.
-            (haar_product(3, 3, 5)[0], 3, 0),
-            (dressed_swap(3, 6)[0], 3, 1),
-            (haar_unitary(9, 7), 3, 1),
+            (haar_product(3, 3, 5)[0], 3, "product"),
+            (dressed_swap(3, 6)[0], 3, "swap"),
+            (haar_unitary(9, 7), 3, "entangling"),
         ],
         ids=["product", "dressed-swap", "entangling"],
     )
-    def test_one_realignment_svd_per_rank_test(self, realignment_svds, u, d, svds):
-        classify_unitary(u, d, d)
-        assert realignment_svds == [(d * d, d * d)] * svds
+    def test_one_realignment_svd_per_rank_test(self, realignment_svds, u, d, verdict):
+        # Each verdict is decided and reported by its certificate. No verdict
+        # runs an operator-Schmidt rank test, so none runs a realignment SVD.
+        assert classify_unitary(u, d, d).verdict == verdict
+        assert realignment_svds == []
 
 
 def _boundary_sweep():
@@ -270,6 +270,13 @@ class TestCertificates:
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3, 0.5])
     def test_every_verdict_is_its_certificate(self, eps):
         tol, margin = Tolerance(eps), 10 * eps
+        if margin >= 1 / np.sqrt(2):
+            # No second Schmidt coefficient exceeds 1/sqrt(2): no witness can
+            # exist, so any form would pass. The tol itself is refused.
+            for label, d, u in _boundary_sweep():
+                with pytest.raises(ValueError, match=r"below 1/sqrt\(2\)"):
+                    classify_unitary(u, d, d, tol, seed=11)
+            return
         verdicts, raised = set(), set()
         for label, d, u in _boundary_sweep():
             try:
@@ -287,10 +294,22 @@ class TestCertificates:
                 assert reconstruction_error(form, u) <= margin, label
                 # A form within the margin leaves no image a witness above it.
                 assert classify._find_witness(u, d, d, margin, 11, 64) is None, label
-        assert verdicts == ({"product"} if eps == 0.5 else {"product", "swap", "entangling"})
+        assert verdicts == {"product", "swap", "entangling"}
         # The band left between the two certificates: residual above the
         # margin, no witness found.
-        assert raised == (set() if eps == 0.5 else {f"dressed-swap:{d}:{10 * eps:.0e}" for d in (3, 4)})
+        assert raised == {f"dressed-swap:{d}:{10 * eps:.0e}" for d in (3, 4)}
+
+    def test_loosest_tol_still_witnesses_cnot(self):
+        # CNOT's witness has second coefficient 1/sqrt(2), just above 10 * 0.07.
+        assert classify_unitary(cnot(), 2, 2, Tolerance(0.07)).verdict == "entangling"
+        with pytest.raises(ValueError, match="tol must be below 0.0707"):
+            classify_unitary(cnot(), 2, 2, Tolerance(0.0708))
+
+    def test_loose_tol_refused_before_unitarity_check(self, unitarity_checks):
+        # A non-unitary input: the tol is refused first, with no D x D work.
+        with pytest.raises(ValueError, match="too loose"):
+            classify_unitary(np.full((4, 4), 2.0), 2, 2, Tolerance(0.1))
+        assert unitarity_checks == []
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
     def test_dressed_swap_at_ten_tol_is_swap(self, eps):
@@ -310,23 +329,20 @@ class TestCertificates:
         assert form.v21.tobytes() == v.tobytes() and form.w12.tobytes() == w.tobytes()
 
 
-class TestOperatorSchmidtRankField:
+class TestResidualField:
     @pytest.mark.parametrize(
         "u, d1, d2, kind",
         [
             (haar_product(2, 3, 1)[0], 2, 3, Product),
             (swap_unitary(3), 3, 3, SwapForm),
             (dressed_swap(2, 2)[0], 2, 2, SwapForm),
-            (cnot(), 2, 2, Entangling),
-            (controlled_phase(np.pi / 3, 3, 3), 3, 3, Entangling),
-            (haar_unitary(6, 3), 2, 3, Entangling),
         ],
-        ids=["product", "swap", "dressed-swap", "cnot", "cphase-3x3", "haar-2x3"],
+        ids=["product", "swap", "dressed-swap"],
     )
-    def test_field_is_rank_of_u(self, u, d1, d2, kind):
+    def test_residual_is_reconstruction_error(self, u, d1, d2, kind):
         form = classify_unitary(u, d1, d2)
         assert isinstance(form, kind)
-        assert form.op_schmidt_rank == operator_schmidt_rank(u, d1, d2)
+        assert abs(form.residual - reconstruction_error(form, u)) <= 1e-12
 
 
 class TestDecomposeSwap:

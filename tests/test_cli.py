@@ -13,7 +13,7 @@ from entkit.cli import COMMANDS, EXIT_CODES, FIXTURES, build_parser, main
 from entkit.errors import SliceHypothesisError
 from entkit.fixtures import cnot, controlled_phase
 from entkit.linalg import swap_unitary
-from entkit.serialize import canonical_json, matrix_to_json, vector_to_json
+from entkit.serialize import canonical_json, matrix_to_json, profile_csv, vector_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -259,7 +259,7 @@ class TestPathCommand:
             ["path", path, "--dims", "2", "2", "--steps", "8", "--format", "csv", "--out", str(out)]
         ) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,max_entropy_bits,op_schmidt_rank,verdict,maximizing_input_id"
+        assert lines[0] == "t,max_entropy_bits,verdict,maximizing_input_id"
         assert len(lines) == 10
         assert lines[1].startswith("0.0,")
 
@@ -405,6 +405,12 @@ class TestFlagContract:
         assert run_cli(["--help"]) == 0
         assert "classify" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["classify", "path"])
+    def test_tol_without_possible_witness_exit_2(self, command, tmp_path, capsys):
+        path = write_json(tmp_path / "cnot.json", matrix_to_json(cnot()))
+        assert run_cli([command, path, "--dims", "2", "2", "--tol", "0.1"]) == 2
+        assert "tol must be below 0.0707" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_non_finite_tolerance_exit_2(self, tol, tmp_path, capsys):
         # All-2s passes "defect > nan" as unitary; it must never reach the check.
@@ -449,6 +455,12 @@ def test_readme_names_every_exit_code_class():
     rows = dict(re.findall(r"^\| `(\d)` \| (.*) \|$", readme, re.MULTILINE))
     for cls, code in EXIT_CODES.items():
         assert f"`{cls.__name__}`" in rows[str(code)], (cls.__name__, code)
+
+
+def test_readme_lists_profile_csv_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    columns = re.search(r"CSV columns `([^`]*)`", readme).group(1)
+    assert re.split(r",\s+", columns) == profile_csv([]).splitlines()[0].split(",")
 
 
 @pytest.mark.parametrize("cls", EXIT_CODES)

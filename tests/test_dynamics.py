@@ -131,7 +131,7 @@ def test_profile_inputs_come_from_the_probe_generator(d1, d2):
 
 def _reference_profile(path, probe_init, n_steps, seed, n_inputs):
     """Input ids, and per grid point each input's image entropy from its own
-    SVD, in input order, with the rank and verdict of U_t."""
+    SVD, in input order, with the verdict of U_t."""
     d1, d2 = path.space.d1, path.space.d2
     inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     points = []
@@ -143,7 +143,7 @@ def _reference_profile(path, probe_init, n_steps, seed, n_inputs):
             p = s[s > 0] ** 2
             entropies.append(float(-(p * np.log2(p)).sum()))
         form = classify_unitary(u_t, d1, d2, seed=split_seed(seed, f"verdict-{k}"))
-        points.append((entropies, form.op_schmidt_rank, form.verdict))
+        points.append((entropies, form.verdict))
     return [input_id for input_id, _ in inputs], points
 
 
@@ -154,19 +154,25 @@ class TestEntanglementProfile:
         probe = np.eye(d)[0]
         profile = entanglement_profile(path, probe, n_steps=64, seed=9, n_inputs=8)
         ids, reference = _reference_profile(path, probe, 64, 9, 8)
-        for pt, (entropies, rank, verdict) in zip(profile.points, reference):
+        for pt, (entropies, verdict) in zip(profile.points, reference):
             top = sorted(entropies, reverse=True)
             assert abs(pt.max_entropy_bits - top[0]) <= 1e-12
-            assert (pt.op_schmidt_rank, pt.verdict) == (rank, verdict)
+            assert pt.verdict == verdict
             if top[0] - top[1] > 1e-12:
                 assert pt.maximizing_input_id == ids[int(np.argmax(entropies))]
 
     def test_realignment_svds_per_profile(self, realignment_svds):
         path = geodesic_path(swap_unitary(3), 3, 3)
         entanglement_profile(path, np.eye(3)[0], n_steps=64)
-        # One per grid point for the operator-Schmidt rank of a swap or
-        # entangling verdict; none at t = 0, where U_t = I is a certified product.
-        assert realignment_svds == [(9, 9)] * 64
+        # Every grid point's verdict is its certificate: no rank SVD.
+        assert realignment_svds == []
+
+    def test_loose_tol_refused_before_unitarity_check(self, unitarity_checks):
+        path = geodesic_path(swap_unitary(2), 2, 2)
+        unitarity_checks.clear()
+        with pytest.raises(ValueError, match="too loose"):
+            entanglement_profile(path, E2[0], n_steps=4, tol=Tolerance(0.1))
+        assert unitarity_checks == []
 
     def test_one_eigh_per_path(self, monkeypatch):
         path = geodesic_path(swap_unitary(2), 2, 2)
