@@ -11,7 +11,9 @@ product input whose image has second Schmidt coefficient above the margin.
 ``classify_slice`` is different in character: it follows the constructive
 case analysis for a single fixed probe vector, where the image factors of an
 object basis are either left-orthogonal (a local isometry acts on the object)
-or right-orthogonal (the object state is transferred into the probe).
+or right-orthogonal (the object state is transferred into the probe). Its
+form, too, carries the residual that decided it: the spectral norm of the
+slice map minus the form's prediction, against max(tol.eps, 1e-9).
 """
 
 from __future__ import annotations
@@ -89,19 +91,23 @@ NonEntanglingForm = Union[Product, SwapForm, Entangling]
 
 @dataclass(frozen=True)
 class LocalOnObject:
-    """U(φ ⊗ φ0) == Vφ ⊗ phi_prime with V an isometry on the object space."""
+    """U(φ ⊗ φ0) == Vφ ⊗ phi_prime with V an isometry on the object space,
+    within residual for every unit φ."""
 
     v: np.ndarray = field(repr=False)
     phi_prime: np.ndarray = field(repr=False)
+    residual: float
     form: str = field(default="local_on_object", init=False)
 
 
 @dataclass(frozen=True)
 class TransferToProbe:
-    """U(φ ⊗ φ0) == phi_prime ⊗ W12 φ with W12 an isometry H1 -> H2."""
+    """U(φ ⊗ φ0) == phi_prime ⊗ W12 φ with W12 an isometry H1 -> H2, within
+    residual for every unit φ."""
 
     phi_prime: np.ndarray = field(repr=False)
     w12: np.ndarray = field(repr=False)
+    residual: float
     form: str = field(default="transfer_to_probe", init=False)
 
 
@@ -140,7 +146,7 @@ def operator_schmidt_rank(
     return int(np.count_nonzero(s > tol.eps * s[0]))
 
 
-def _witness_margin(tol: Tolerance) -> float:
+def witness_margin(tol: Tolerance) -> float:
     """The verdict margin 10 * tol.eps. ValueError unless it is below
     1/sqrt(2), the largest second Schmidt coefficient: from there up no
     witness can exist and any form, however far off, would pass."""
@@ -266,7 +272,7 @@ def _classify(
     u: np.ndarray, d1: int, d2: int, tol: Tolerance, seed: int
 ) -> NonEntanglingForm:
     """classify_unitary for a u that already passed its checks."""
-    margin = _witness_margin(tol)
+    margin = witness_margin(tol)
     residual, v, w = _rank_one_fit(realign(u, d1, d2), d1, d2)
     if residual <= margin:
         return Product(*_fix_phase(v, w, tol), residual)
@@ -310,7 +316,7 @@ def classify_unitary(
     for (V ⊗ W)·SWAP. A form carries that residual. m >= 1/sqrt(2) raises
     ValueError before any work on U: no witness can exist there.
     """
-    _witness_margin(tol)
+    witness_margin(tol)
     return _classify(_check_bipartite_unitary(u, d1, d2, tol), d1, d2, tol, seed)
 
 
@@ -353,31 +359,6 @@ def _hypothesis_error(indices: tuple[int, ...]) -> SliceHypothesisError:
     )
 
 
-def _slice_prediction(form: SliceForm) -> np.ndarray:
-    """The form as a slice map: column i is V e_i ⊗ phi' or phi' ⊗ W12 e_i."""
-    if isinstance(form, LocalOnObject):
-        p = form.v[:, None, :] * form.phi_prime[None, :, None]
-    else:
-        p = form.phi_prime[:, None, None] * form.w12[None, :, :]
-    return p.reshape(-1, p.shape[2])
-
-
-def _fits(form: SliceForm, b: np.ndarray, check_tol: float) -> bool:
-    """Whether the form predicts every pair image (e_i + e_j)/sqrt(2) ⊗ phi0
-    within check_tol: both sides are linear, so a pair's deviation is
-    ||r_i + r_j||/sqrt(2) over the columns r_i of R = B - prediction.
-
-    No isometry check is needed. Either form projects B, so for V (and W12
-    alike) V^†V - I = (B^†B - I) - R^†R; B^†B - I is a compression of
-    U^†U - I, so ||V^†V - I||_F <= defect + ||R||_F^2.
-    """
-    r = b - _slice_prediction(form)
-    return not any(
-        (np.linalg.norm(r[:, i, None] + r[:, i + 1 :], axis=0) / np.sqrt(2) > check_tol).any()
-        for i in range(r.shape[1] - 1)
-    )
-
-
 def classify_slice(
     u: np.ndarray,
     d1: int,
@@ -387,15 +368,22 @@ def classify_slice(
 ) -> SliceForm:
     """Constructive dichotomy for the slice φ -> U(φ ⊗ φ0).
 
-    Checks that every basis image, a column of the slice map B = U(I ⊗ φ0),
-    is a product, with one stacked SVD. Image 0 = a ⊗ c then fixes both
-    candidate forms: LocalOnObject(V = (I ⊗ c^†)B, c) and
-    TransferToProbe(a, W12 = (a^† ⊗ I)B), and the first that predicts every
-    pair superposition image is returned. Raises
+    Checks that every basis image, a column of the slice map B = U(I ⊗ φ0)
+    for the normalized φ0, is a product, with one stacked SVD. Image 0 =
+    a ⊗ c then fixes both candidate forms: LocalOnObject(V = (I ⊗ c^†)B, c)
+    and TransferToProbe(a, W12 = (a^† ⊗ I)B). The first whose spectral
+    residual ||B - P||_2 against its prediction P is <= max(tol, 1e-9) is
+    returned, carrying that residual: the largest deviation
+    ||U(φ ⊗ φ0) - form(φ)|| over unit object inputs φ. Raises
     SliceHypothesisError with the offending indices when a basis image, or
-    (if neither form fits) the first pair image in row-major order, is not a
-    product, and SlicePatternError when every image is a product yet neither
-    form fits, which a tolerance too loose for the input signals.
+    (if neither form fits) the first pair image (e_i + e_j)/sqrt(2) ⊗ φ0 in
+    row-major order, is not a product, and SlicePatternError when every
+    probed image is a product yet neither form fits, which a tolerance too
+    loose for the input signals.
+
+    No isometry check is needed. Either form projects B, so with R = B - P,
+    V^†V - I = (B^†B - I) - R^†R (W12 alike); B^†B - I is a compression of
+    U^†U - I, so ||V^†V - I||_F <= defect + ||R||_F^2.
     """
     u = _check_bipartite_unitary(u, d1, d2, tol)
     phi0 = as_vector(phi0)
@@ -413,15 +401,18 @@ def classify_slice(
     x, _, yh = np.linalg.svd(b[:, 0].reshape(d1, d2))
     a, c = _fix_phase(x[:, 0], yh[0], tol)
     b3 = b.reshape(d1, d2, d1)
-    # A floor: pair deviations below 1e-9 pass at any tol, which keeps
+    # A floor: residuals below 1e-9 pass at any tol, which keeps
     # controlled_phase(1e-10) at tol 1e-12 a form (TestSliceAgainstVoteReference).
     check_tol = max(tol.eps, 1e-9)
-    for form in (
-        LocalOnObject(c.conj() @ b3, c),
-        TransferToProbe(a, (a.conj() @ b3.reshape(d1, -1)).reshape(d2, d1)),
-    ):
-        if _fits(form, b, check_tol):
-            return form
+    # Column i of each prediction is V e_i ⊗ c or a ⊗ W12 e_i.
+    v = c.conj() @ b3
+    local = float(np.linalg.norm(b - (v[:, None, :] * c[None, :, None]).reshape(-1, d1), 2))
+    if local <= check_tol:
+        return LocalOnObject(v, c, local)
+    w12 = (a.conj() @ b3.reshape(d1, -1)).reshape(d2, d1)
+    transfer = float(np.linalg.norm(b - (a[:, None, None] * w12[None, :, :]).reshape(-1, d1), 2))
+    if transfer <= check_tol:
+        return TransferToProbe(a, w12, transfer)
 
     # Diagnosis, one row of pairs at a time: at most d1 - 1 images in memory.
     for i in range(d1 - 1):
@@ -431,13 +422,6 @@ def classify_slice(
             raise _hypothesis_error((i, i + 1 + int(bad[0])))
     raise SlicePatternError(
         "every probed image is a product, yet neither the local nor the transfer "
-        f"form predicts the pair images within {check_tol:.1e}"
+        f"form predicts every unit input within {check_tol:.1e}: the closer one "
+        f"is off by {min(local, transfer):.3e}"
     )
-
-
-def slice_residual(
-    form: SliceForm, u: np.ndarray, d1: int, d2: int, phi0: np.ndarray
-) -> float:
-    """Worst-case norm deviation of the form's prediction over an object basis."""
-    b = slice_map(as_matrix(u), d1, d2, as_vector(phi0))
-    return float(np.linalg.norm(b - _slice_prediction(form), axis=0).max())

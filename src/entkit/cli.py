@@ -27,7 +27,7 @@ from .classify import (
     Product,
     classify_slice,
     classify_unitary,
-    slice_residual,
+    witness_margin,
 )
 from .dynamics import entanglement_profile, geodesic_path
 from .errors import (
@@ -178,7 +178,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     else:
         report["isometry"] = matrix_to_json(form.w12)
     report["phi_prime"] = vector_to_json(form.phi_prime)
-    report["residual"] = slice_residual(form, u, d1, d2, phi0)
+    report["residual"] = form.residual
     _emit(_render(report, args.format), args.out)
     return 0
 
@@ -204,6 +204,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
+    # A tol no witness can beat is refused before the endpoint's logarithm.
+    witness_margin(args.tol)
     d1, d2 = args.dims
     u = _load(args.input, matrix_from_json, "matrix")
     if args.probe_init:

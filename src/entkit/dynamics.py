@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .bipartite import BipartiteSpace, PureState, entanglement_entropies
-from .classify import _classify, _witness_margin
+from .classify import _classify, witness_margin
 from .errors import DimensionError, NonUnitaryError
 from .linalg import (
     DEFAULT_SEED,
@@ -142,7 +142,7 @@ def entanglement_profile(
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps, got {n_steps}")
-    _witness_margin(tol)
+    witness_margin(tol)
     probe_init = as_vector(probe_init)
     d1, d2 = p.space.d1, p.space.d2
     if probe_init.size != d2:

@@ -36,10 +36,12 @@ class SliceHypothesisError(ValueError):
 
 
 class SlicePatternError(RuntimeError):
-    """Factor orthogonality pattern is inconsistent beyond tolerance.
+    """Every probed slice image is a product, yet neither slice form predicts
+    every unit input within tolerance.
 
     Impossible for exact non-entangling slices; signals numerical breakdown
-    or a misconfigured tolerance.
+    or a misconfigured tolerance. The message gives the smaller of the two
+    forms' residuals.
     """
 
 

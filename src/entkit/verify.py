@@ -23,6 +23,7 @@ from .classify import (
     LocalOnObject,
     reconstruction_error,
     TransferToProbe,
+    witness_margin,
 )
 from .dynamics import (
     entanglement_profile,
@@ -399,10 +400,12 @@ ALL_SUITES = (
 def run_all(seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Run every suite and assemble the deterministic verification report.
 
-    A suite aborted by an exception (typically a misconfigured tolerance
-    rejecting valid inputs) is reported as failed with the error message
-    rather than crashing the run.
+    A tol too loose for classify_unitary raises ValueError before any suite
+    runs. A suite aborted by an exception (typically a tolerance too tight
+    for valid inputs) is reported as failed with the error message rather
+    than crashing the run.
     """
+    witness_margin(tol)
     suites = []
     for suite in ALL_SUITES:
         try:

@@ -18,7 +18,6 @@ from entkit.classify import (
     operator_schmidt_rank,
     realign,
     reconstruction_error,
-    slice_residual,
 )
 from entkit.dynamics import geodesic_path, path_point
 from entkit.errors import (
@@ -475,7 +474,8 @@ def _vote_classify_slice(u, d1, d2, phi0, tol):
 
     Factors each basis image through PureState/is_product, votes every image
     against image 0 at threshold sqrt(tol), assembles the voted form from the
-    factors, then checks pairs and the isometry as classify_slice does.
+    factors, then checks pairs and the isometry as classify_slice did before
+    0.10.0. Its forms carry a NaN residual: only their outcome is compared.
     """
     u = classify._check_bipartite_unitary(u, d1, d2, tol)
     space = BipartiteSpace(d1, d2)
@@ -490,7 +490,7 @@ def _vote_classify_slice(u, d1, d2, phi0, tol):
 
     lefts, rights = zip(*(factor((i,)) for i in range(d1)))
     if d1 == 1:
-        return LocalOnObject(np.array([[1.0 + 0j]]), rights[0] * lefts[0][0])
+        return LocalOnObject(np.array([[1.0 + 0j]]), rights[0] * lefts[0][0], np.nan)
     decide_tol = np.sqrt(max(tol.eps, 1e-300))
     left_votes = right_votes = 0
     for i in range(1, d1):
@@ -510,12 +510,12 @@ def _vote_classify_slice(u, d1, d2, phi0, tol):
     if left_votes:
         phi_prime = rights[0]
         iso = np.stack([np.vdot(phi_prime, rights[i]) * lefts[i] for i in range(d1)], axis=1)
-        form = LocalOnObject(iso, phi_prime)
+        form = LocalOnObject(iso, phi_prime, np.nan)
         predicted = (iso[:, None, :] * phi_prime[None, :, None]).reshape(-1, d1)
     else:
         phi_prime = lefts[0]
         iso = np.stack([np.vdot(phi_prime, lefts[i]) * rights[i] for i in range(d1)], axis=1)
-        form = TransferToProbe(phi_prime, iso)
+        form = TransferToProbe(phi_prime, iso, np.nan)
         predicted = (phi_prime[:, None, None] * iso[None, :, :]).reshape(-1, d1)
     check_tol = max(tol.eps, 1e-9)
     r = b - predicted
@@ -619,18 +619,16 @@ class TestSliceAgainstVoteReference:
         assert schmidt_rank(pair, tol) == 2
 
 
-def _kron_slice_residual(form, u, d1, phi0):
-    """Per-basis-vector loop with Kronecker products."""
+def _kron_spectral_residual(form, u, d1, phi0):
+    """||B - P||_2 with B and the prediction P built column by column from
+    Kronecker products."""
     eye = np.eye(d1)
-    worst = 0.0
-    for i in range(d1):
-        image = u @ np.kron(eye[i], phi0)
-        if isinstance(form, LocalOnObject):
-            predicted = np.kron(form.v @ eye[i], form.phi_prime)
-        else:
-            predicted = np.kron(form.phi_prime, form.w12 @ eye[i])
-        worst = max(worst, float(np.linalg.norm(image - predicted)))
-    return worst
+    b = np.stack([u @ np.kron(eye[i], phi0) for i in range(d1)], axis=1)
+    if isinstance(form, LocalOnObject):
+        p = np.stack([np.kron(form.v @ eye[i], form.phi_prime) for i in range(d1)], axis=1)
+    else:
+        p = np.stack([np.kron(form.phi_prime, form.w12 @ eye[i]) for i in range(d1)], axis=1)
+    return float(np.linalg.svd(b - p, compute_uv=False)[0])
 
 
 class TestSliceMapAgainstKron:
@@ -646,13 +644,50 @@ class TestSliceMapAgainstKron:
                 pair = (b[:, i] + b[:, j]) / np.sqrt(2)
                 want = u @ np.kron((eye[i] + eye[j]) / np.sqrt(2), phi0)
                 assert np.abs(pair - want).max() < 1e-13
-        forms = (
-            LocalOnObject(haar_unitary(d1, seed + 2), random_state(d2, seed + 3)),
-            TransferToProbe(random_state(d1, seed + 4), haar_unitary(max(d1, d2), seed + 5)[:d2, :d1]),
-        )
-        for form in forms:
-            got = slice_residual(form, u, d1, d2, phi0)
-            assert abs(got - _kron_slice_residual(form, u, d1, phi0)) < 1e-13
+        # Perturbed by 1e-10, so each residual is well above rounding.
+        h = random_hermitian(d1 * d2, seed + 2)
+        couplings = [(haar_product(d1, d2, seed)[0], LocalOnObject)]
+        if d1 == d2:
+            couplings.append((dressed_swap(d1, seed)[0], TransferToProbe))
+        for u0, form_type in couplings:
+            u = u0 @ exp_i_hermitian(h, 1e-10)
+            form = classify_slice(u, d1, d2, phi0, Tolerance(1e-8))
+            assert isinstance(form, form_type)
+            assert form.residual > 1e-12
+            assert abs(form.residual - _kron_spectral_residual(form, u, d1, phi0)) < 1e-13
+
+
+def _leak_coupling(eps):
+    """exp(iεH) on 3 x 2 with H = |e0 f1><a| + h.c., a = e1 f0 - e2 f0.
+
+    The slice at f0 is local up to the unit input (e1 - e2)/sqrt(2) ⊗ f0, whose
+    image has second Schmidt coefficient sin(sqrt(2) ε); pair inputs see at
+    most half of it.
+    """
+    e0f1, a = np.zeros(6), np.zeros(6)
+    e0f1[1] = 1.0
+    a[2], a[4] = 1.0, -1.0
+    h = np.outer(e0f1, a)
+    return exp_i_hermitian(h + h.T, eps)
+
+
+class TestSliceCertificate:
+    F0 = np.array([1.0, 0.0])
+
+    def test_worst_unit_input_beyond_tol_refuses_form(self):
+        # The pair rule of entkit 0.9.0 returned LocalOnObject here.
+        with pytest.raises(SlicePatternError) as exc:
+            classify_slice(_leak_coupling(0.9e-3), 3, 2, self.F0, Tolerance(1e-3))
+        assert "off by 1.273e-03" in str(exc.value)
+
+    def test_residual_is_worst_second_coefficient(self):
+        u = _leak_coupling(0.6e-3)
+        form = classify_slice(u, 3, 2, self.F0, Tolerance(1e-3))
+        assert isinstance(form, LocalOnObject)
+        worst = u @ np.kron(np.array([0.0, 1.0, -1.0]) / np.sqrt(2), self.F0)
+        second = np.linalg.svd(worst.reshape(3, 2), compute_uv=False)[1]
+        assert abs(form.residual - second) < 1e-12
+        assert abs(form.residual - 8.485e-4) < 1e-7
 
 
 class TestBruteForce:

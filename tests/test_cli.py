@@ -111,6 +111,16 @@ class TestSliceCommand:
         assert run_cli(["slice", path, "--phi0", e0_file, "--dims", "2", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["form"] == "local_on_object"
 
+    def test_residual_is_the_forms_not_phi0_norm_slack(self, tmp_path, capsys):
+        # The form is decided on the normalized phi0; before 0.10.0 the
+        # report gave 9.0e-10, the norm slack of phi0.
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        phi0 = write_json(tmp_path / "phi0.json", vector_to_json(np.eye(2)[0] * (1 + 0.9e-9)))
+        assert run_cli(["slice", path, "--phi0", phi0, "--dims", "2", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["form"] == "transfer_to_probe"
+        assert report["residual"] <= 1e-15
+
 
 _ROOT_SWAP = (np.eye(4) + swap_unitary(2)) / 2 + 1j * (np.eye(4) - swap_unitary(2)) / 2
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -405,11 +415,16 @@ class TestFlagContract:
         assert run_cli(["--help"]) == 0
         assert "classify" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["classify", "path"])
-    def test_tol_without_possible_witness_exit_2(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["classify", "path", "verify"])
+    def test_tol_without_possible_witness_exit_2(
+        self, command, tmp_path, capsys, unitarity_checks
+    ):
         path = write_json(tmp_path / "cnot.json", matrix_to_json(cnot()))
-        assert run_cli([command, path, "--dims", "2", "2", "--tol", "0.1"]) == 2
+        args = ["verify"] if command == "verify" else [command, path, "--dims", "2", "2"]
+        assert run_cli(args + ["--tol", "0.1"]) == 2
         assert "tol must be below 0.0707" in capsys.readouterr().err
+        # Refused before any work: no unitarity check, so no logarithm either.
+        assert unitarity_checks == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_non_finite_tolerance_exit_2(self, tol, tmp_path, capsys):
