@@ -10,7 +10,6 @@ through product-form unitaries alone, so interior points must entangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,67 +22,60 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
-    exp_i_hermitian,
     probe_states,
     require_unit,
     rng_from_seed,
     split_seed,
     unitarity_defect,
-    unitary_log,
+    unitary_eig,
 )
 
 
 @dataclass(frozen=True)
 class UnitaryPath:
-    """One-parameter family exp(i t generator), t in [0, 1], ending at endpoint."""
+    """U_t = V diag(e^{it·phases}) V^†, t in [0, 1]: the generator's spectral
+    decomposition H = V diag(phases) V^†, as read-only copies of the arrays."""
 
-    generator: np.ndarray = field(repr=False)
-    endpoint: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
     space: BipartiteSpace
 
     def __post_init__(self):
-        g = as_matrix(self.generator)
-        e = as_matrix(self.endpoint)
+        phases = np.array(self.phases, dtype=np.float64)
+        vectors = as_matrix(np.array(self.vectors, dtype=np.complex128))
         dim = self.space.dim
-        if g.shape != (dim, dim) or e.shape != (dim, dim):
-            raise DimensionError(
-                f"generator/endpoint shape {g.shape}/{e.shape} != ({dim}, {dim})"
-            )
-        object.__setattr__(self, "generator", g)
-        object.__setattr__(self, "endpoint", e)
-
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        # The eigenpair exp_i_hermitian computes, once per path.
-        g = self.generator
-        return np.linalg.eigh((g + g.conj().T) / 2)
+        if phases.shape != (dim,) or vectors.shape != (dim, dim):
+            raise DimensionError(f"phases/vectors shape {phases.shape}/{vectors.shape}, dim {dim}")
+        for name, a in (("phases", phases), ("vectors", vectors)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def geodesic_path(
     endpoint: np.ndarray, d1: int, d2: int, tol: Tolerance = DEFAULT_TOL
 ) -> UnitaryPath:
-    """Path generated by the principal-branch logarithm of the endpoint."""
+    """Path of the endpoint's principal-branch logarithm, read off its Schur form."""
+    space = BipartiteSpace(d1, d2)
     endpoint = as_matrix(endpoint)
-    h = unitary_log(endpoint, tol)
-    return UnitaryPath(h, endpoint, BipartiteSpace(d1, d2))
+    if endpoint.shape != (space.dim, space.dim):
+        raise DimensionError(f"endpoint must be square of side {space.dim}, got {endpoint.shape}")
+    return UnitaryPath(*unitary_eig(endpoint, tol), space)
 
 
 def path_from_generator(h: np.ndarray, d1: int, d2: int) -> UnitaryPath:
-    """Path with an explicitly chosen Hermitian generator; endpoint = exp(iH)."""
+    """Path of an explicitly chosen generator, from one eigh of its Hermitian part."""
     h = as_matrix(h)
-    h = (h + h.conj().T) / 2
-    return UnitaryPath(h, exp_i_hermitian(h), BipartiteSpace(d1, d2))
+    return UnitaryPath(*np.linalg.eigh((h + h.conj().T) / 2), BipartiteSpace(d1, d2))
 
 
 def path_point(p: UnitaryPath, t: float) -> np.ndarray:
-    """exp(i t generator), bit-identical to exp_i_hermitian(generator, t) but
-    from the path's one eigendecomposition; exactly the identity at t == 0."""
+    """V e^{it·phases} V^†; exactly the identity at t == 0. A generator path
+    is bit-identical to exp_i_hermitian(H, t), since both run the same eigh."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter {t} outside [0, 1]")
     if t == 0.0:
         return np.eye(p.space.dim, dtype=np.complex128)
-    w, v = p._eigh
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+    return (p.vectors * np.exp(1j * t * p.phases)) @ p.vectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -148,10 +140,10 @@ def entanglement_profile(
     if probe_init.size != d2:
         raise DimensionError(f"probe_init dimension {probe_init.size} != d2 {d2}")
     require_unit(probe_init, tol, "probe_init")
-    # One check for every U_t = V e^{itw} V^†: with E = V^†V - I, δ = ||E||_F,
-    # U_t^†U_t - I = (VV^† - I) + V e^{-itw} E e^{itw} V^†, where VV^† - I
-    # has the norm of E and ||V||² <= 1 + δ, so each defect is <= δ(2 + δ).
-    delta = unitarity_defect(p._eigh[1])
+    # One check for every U_t = V e^{itw} V^† (w, V the path's phases, vectors):
+    # with E = V^†V - I, δ = ||E||_F, U_t^†U_t - I = (VV^† - I) + V e^{-itw} E e^{itw} V^†,
+    # where VV^† - I has the norm of E and ||V||² <= 1 + δ, so each defect is <= δ(2 + δ).
+    delta = unitarity_defect(p.vectors)
     bound = delta * (2 + delta)
     if bound > tol.eps:
         raise NonUnitaryError(f"path is not unitary: defect bound {bound:.3e}", bound)

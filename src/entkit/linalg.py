@@ -118,27 +118,31 @@ def slice_map(u: np.ndarray, d1: int, d2: int, phi0: np.ndarray) -> np.ndarray:
     return (u.reshape(-1, d2) @ phi0).reshape(d1 * d2, d1)
 
 
-def unitary_log(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian H with exp(iH) == u, eigenphases in the principal branch.
-
-    Phases are taken in (-pi, pi] with the eigenvalue -1 mapped to +pi; phases
-    within 1e-12 of the cut are folded onto +pi so that -1 is stable under
-    rounding. Degenerate eigenspaces inherit the (orthonormal, deterministic
-    per build) Schur basis; H does not depend on that choice.
-    """
+def unitary_eig(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, z) with u == z diag(e^{i theta}) z^†, from one Schur decomposition
+    after the unitarity check. Phases are in (-pi, pi], -1 mapped to +pi; those
+    within 1e-12 of the cut are folded onto +pi, so -1 is stable under rounding.
+    Degenerate eigenspaces get the (deterministic per build) Schur basis."""
     u = as_matrix(u)
     defect = unitarity_defect(u)
     if defect > tol.eps:
         raise NonUnitaryError(f"matrix is not unitary: defect {defect:.3e}", defect)
     t, z = scipy.linalg.schur(u, output="complex")
     theta = np.angle(np.diagonal(t))
-    theta = np.where(theta <= -np.pi + 1e-12, theta + 2 * np.pi, theta)
+    return np.where(theta <= -np.pi + 1e-12, theta + 2 * np.pi, theta), z
+
+
+def unitary_log(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian H = z diag(theta) z^† with exp(iH) == u, (theta, z) from unitary_eig;
+    H does not depend on the basis chosen in degenerate eigenspaces."""
+    theta, z = unitary_eig(u, tol)
     h = (z * theta) @ z.conj().T
     return (h + h.conj().T) / 2
 
 
 def exp_i_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(i * t * h) for Hermitian h, via eigendecomposition."""
+    """exp(i * t * h) for Hermitian h, via eigendecomposition; the reference
+    that dynamics.path_point is tested against."""
     h = as_matrix(h)
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return (v * np.exp(1j * t * w)) @ v.conj().T

@@ -191,6 +191,7 @@ def outcome_probabilities(
     s: MeasurementScheme, phi: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> OutcomeDistribution:
     """Pointer statistics p(X) = <U(φ⊗φ0) | (I ⊗ E(X)) U(φ⊗φ0)>."""
+    s.check(tol)
     phi = as_vector(phi)
     if phi.size != s.object_dim:
         raise DimensionError(f"state dimension {phi.size} != object dim {s.object_dim}")

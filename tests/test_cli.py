@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entkit import __version__
 from entkit.cli import COMMANDS, EXIT_CODES, FIXTURES, build_parser, main
 from entkit.errors import SliceHypothesisError
 from entkit.fixtures import cnot, controlled_phase
@@ -279,6 +280,13 @@ class TestPathCommand:
         assert run_cli(["path", path, "--dims", "1", "2"]) == 2
         assert "square" in capsys.readouterr().err
 
+    def test_dims_mismatch_exit_2_before_unitarity_check(self, tmp_path, capsys, unitarity_checks):
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(4)))
+        unitarity_checks.clear()
+        assert run_cli(["path", path, "--dims", "2", "2"]) == 2
+        assert "square of side 4, got (16, 16)" in capsys.readouterr().err
+        assert unitarity_checks == []
+
     def test_probe_init_norm_checked_at_tol(self, tmp_path, capsys):
         path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         probe = write_json(tmp_path / "probe.json", vector_to_json(np.eye(2)[0] * (1 + 1e-7)))
@@ -288,7 +296,7 @@ class TestPathCommand:
         assert run_cli(args + ["--tol", "1e-6"]) == 0
 
     def test_one_unitarity_check_per_path(self, tmp_path, capsys, unitarity_checks):
-        # The endpoint's, in the logarithm, and the generator's eigenvectors',
+        # The endpoint's, before its Schur decomposition, and the path's eigenvectors',
         # which bound every grid point's defect.
         path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         unitarity_checks.clear()
@@ -423,7 +431,7 @@ class TestFlagContract:
         args = ["verify"] if command == "verify" else [command, path, "--dims", "2", "2"]
         assert run_cli(args + ["--tol", "0.1"]) == 2
         assert "tol must be below 0.0707" in capsys.readouterr().err
-        # Refused before any work: no unitarity check, so no logarithm either.
+        # Refused before any work: no unitarity check, so no Schur decomposition either.
         assert unitarity_checks == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -470,6 +478,11 @@ def test_readme_names_every_exit_code_class():
     rows = dict(re.findall(r"^\| `(\d)` \| (.*) \|$", readme, re.MULTILINE))
     for cls, code in EXIT_CODES.items():
         assert f"`{cls.__name__}`" in rows[str(code)], (cls.__name__, code)
+
+
+def test_readme_states_the_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"\bit is (\d+\.\d+\.\d+)\.", readme) == [__version__]
 
 
 def test_readme_lists_profile_csv_columns():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from entkit.bipartite import BipartiteSpace, PureState, entanglement_entropy
 from entkit.classify import classify_unitary
 from entkit.dynamics import (
+    UnitaryPath,
     entanglement_profile,
     geodesic_path,
     max_path_entanglement,
@@ -12,8 +14,8 @@ from entkit.dynamics import (
     path_point,
     profile_inputs,
 )
-from entkit.errors import NonUnitaryError, NormalizationError
-from entkit.fixtures import cnot, haar_product
+from entkit.errors import DimensionError, NonUnitaryError, NormalizationError
+from entkit.fixtures import cnot, dressed_swap, haar_product
 from entkit.linalg import (
     Tolerance,
     exp_i_hermitian,
@@ -24,6 +26,7 @@ from entkit.linalg import (
     split_seed,
     swap_unitary,
     tensor_product,
+    unitary_log,
 )
 from entkit.verify import sqrt_swap_oracle
 
@@ -50,14 +53,13 @@ def test_frozen_constants_match_closed_forms():
 class TestGeodesicPath:
     def test_identity_endpoint(self):
         path = geodesic_path(np.eye(4), 2, 2)
-        np.testing.assert_allclose(path.generator, np.zeros((4, 4)), atol=1e-14)
+        np.testing.assert_allclose(path.phases, np.zeros(4), atol=1e-14)
         np.testing.assert_allclose(path_point(path, 0.7), np.eye(4), atol=1e-14)
 
     def test_controlled_z_midpoint(self):
         cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
         path = geodesic_path(cz, 2, 2)
-        phases = np.linalg.eigvalsh(path.generator)
-        np.testing.assert_allclose(sorted(phases), [0, 0, 0, np.pi], atol=1e-12)
+        np.testing.assert_allclose(sorted(path.phases), [0, 0, 0, np.pi], atol=1e-12)
         np.testing.assert_allclose(
             path_point(path, 0.5), np.diag([1, 1, 1, 1j]), atol=1e-12
         )
@@ -69,6 +71,23 @@ class TestGeodesicPath:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
             geodesic_path(np.diag([1.0, 2.0, 1.0, 1.0]), 2, 2)
+
+
+class TestUnitaryPath:
+    def test_arrays_are_read_only_copies(self):
+        w, v = np.linalg.eigh(random_hermitian(4, 3))
+        path = UnitaryPath(w, v, BipartiteSpace(2, 2))
+        before = path_point(path, 0.5)
+        w[0], v[0, 0] = 7.0, 7.0
+        np.testing.assert_array_equal(path_point(path, 0.5), before)
+        for a in (path.phases, path.vectors):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_shapes_must_fit_the_space(self):
+        w, v = np.linalg.eigh(random_hermitian(4, 3))
+        with pytest.raises(DimensionError):
+            UnitaryPath(w, v, BipartiteSpace(2, 3))
 
 
 class TestPathPoint:
@@ -94,15 +113,19 @@ class TestPathPoint:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: geodesic_path(haar_product(2, 3, 5)[0] @ np.diag(np.exp(1j * np.arange(6))), 2, 3),
-            lambda: path_from_generator(random_hermitian(6, 9, scale=2.0), 3, 2),
+            # The old route, through the logarithm: the same U_t to rounding.
+            lambda u=haar_product(2, 3, 5)[0] @ np.diag(np.exp(1j * np.arange(6))): (
+                geodesic_path(u, 2, 3), unitary_log(u), 1e-12
+            ),
+            # The same eigh: bit-identical.
+            lambda h=random_hermitian(6, 9, scale=2.0): (path_from_generator(h, 3, 2), h, 0.0),
         ],
         ids=["geodesic", "generator"],
     )
     def test_bit_identical_to_exp_i_hermitian(self, make):
-        path = make()
+        path, h, atol = make()
         for t in (1e-3, 0.25, 0.5, 0.7, 1.0):
-            np.testing.assert_array_equal(path_point(path, t), exp_i_hermitian(path.generator, t))
+            np.testing.assert_allclose(path_point(path, t), exp_i_hermitian(h, t), rtol=0, atol=atol)
 
     @given(seeds, st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=25, deadline=None)
@@ -129,14 +152,15 @@ def test_profile_inputs_come_from_the_probe_generator(d1, d2):
         np.testing.assert_array_equal(vec, np.kron(left[k], b))
 
 
-def _reference_profile(path, probe_init, n_steps, seed, n_inputs):
+def _reference_profile(u, d1, d2, probe_init, n_steps, seed, n_inputs):
     """Input ids, and per grid point each input's image entropy from its own
-    SVD, in input order, with the verdict of U_t."""
-    d1, d2 = path.space.d1, path.space.d2
+    SVD, in input order, with the verdict of U_t, where U_t comes by the old
+    route: exp_i_hermitian of the endpoint's logarithm."""
+    h = unitary_log(u)
     inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     points = []
     for k in range(n_steps + 1):
-        u_t = path_point(path, k / n_steps)
+        u_t = exp_i_hermitian(h, k / n_steps)
         entropies = []
         for _, vec in inputs:
             s = np.linalg.svd((u_t @ vec).reshape(d1, d2), compute_uv=False)
@@ -148,12 +172,16 @@ def _reference_profile(path, probe_init, n_steps, seed, n_inputs):
 
 
 class TestEntanglementProfile:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_per_input_reference_loop(self, d):
-        path = geodesic_path(swap_unitary(d), d, d)
+    @pytest.mark.parametrize(
+        "u, d",
+        [pytest.param(swap_unitary(d), d, id=str(d)) for d in (2, 3)]
+        + [pytest.param(dressed_swap(d, 11)[0], d, id=f"dressed-swap-{d}") for d in (2, 3)],
+    )
+    def test_matches_per_input_reference_loop(self, u, d):
+        path = geodesic_path(u, d, d)
         probe = np.eye(d)[0]
         profile = entanglement_profile(path, probe, n_steps=64, seed=9, n_inputs=8)
-        ids, reference = _reference_profile(path, probe, 64, 9, 8)
+        ids, reference = _reference_profile(u, d, d, probe, 64, 9, 8)
         for pt, (entropies, verdict) in zip(profile.points, reference):
             top = sorted(entropies, reverse=True)
             assert abs(pt.max_entropy_bits - top[0]) <= 1e-12
@@ -175,12 +203,21 @@ class TestEntanglementProfile:
         assert unitarity_checks == []
 
     def test_one_eigh_per_path(self, monkeypatch):
-        path = geodesic_path(swap_unitary(2), 2, 2)
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        entanglement_profile(path, E2[0], n_steps=64)
-        assert len(calls) <= 1
+        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "schur")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, k=kernel, n=name, **kw: calls.append(n) or k(*a, **kw)
+            )
+        h = random_hermitian(4, 3)
+        geodesic = geodesic_path(swap_unitary(2), 2, 2)
+        assert calls == ["schur"]
+        generator = path_from_generator(h, 2, 2)
+        assert calls == ["schur", "eigh"]
+        calls.clear()
+        entanglement_profile(geodesic, E2[0], n_steps=64)
+        entanglement_profile(generator, E2[0], n_steps=64)
+        assert calls == []
 
     def test_probe_init_norm_checked_at_tol(self):
         path = geodesic_path(swap_unitary(2), 2, 2)
@@ -260,10 +297,8 @@ class TestEntanglementProfile:
         h = tensor_product(a, np.eye(2)) + tensor_product(np.eye(2), b)
         path = path_from_generator(h, 2, 2)
         # exp(i(A⊗I + I⊗B)) == exp(iA) ⊗ exp(iB) since the terms commute
-        from entkit.linalg import exp_i_hermitian
-
         expected = tensor_product(exp_i_hermitian(a), exp_i_hermitian(b))
-        assert np.linalg.norm(path.endpoint - expected) < 1e-12
+        assert np.linalg.norm(path_point(path, 1.0) - expected) < 1e-12
 
     def test_profile_continuity_under_refinement(self):
         path = geodesic_path(swap_unitary(2), 2, 2)

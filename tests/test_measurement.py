@@ -159,6 +159,14 @@ class TestOutcomeProbabilities:
         with pytest.raises(NormalizationError):
             outcome_probabilities(s, np.array([1.0, 1.0]))
 
+    # Defect 8e-9 (statistics would be renormalized) and 4e-3 (they would sum
+    # to 1.002): both are the coupling's fault, as in measured_observable.
+    @pytest.mark.parametrize("scale", [1 + 2e-9, 1 + 1e-3])
+    def test_non_unitary_coupling_rejected(self, scale):
+        s = MeasurementScheme(2, 2, E2[0], haar_unitary(4, 3) * scale, projective_povm(2))
+        with pytest.raises(NonUnitaryError, match="coupling is not unitary"):
+            outcome_probabilities(s, PLUS, Tolerance(1e-9))
+
     @given(seeds)
     @settings(max_examples=20, deadline=None)
     def test_matches_measured_observable(self, seed):
