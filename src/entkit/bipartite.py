@@ -208,22 +208,22 @@ def entanglement_entropy(psi: PureState) -> float:
     return float(entanglement_entropies(psi.space, psi.vec[None, :])[0])
 
 
-def _canonical_sign(d: np.ndarray) -> np.ndarray:
-    # Flip the overall sign so trace_distance(a, b) and (b, a) diagonalize the
-    # same matrix bit-for-bit (symmetry is then exact).
-    flat = d.ravel()
-    nz = np.flatnonzero(flat != 0)
-    if nz.size:
-        first = flat[nz[0]]
-        if first.real < 0 or (first.real == 0 and first.imag < 0):
-            return -d
-    return d
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the trace norms of a - b over (n, dim, dim) stacks, from one
+    stacked eigvalsh of the Hermitian parts."""
+    d = a - b
+    d = (d + d.conj().swapaxes(1, 2)) / 2
+    # Flip each difference's overall sign so that (a, b) and (b, a)
+    # diagonalize the same matrix bit-for-bit (symmetry is then exact).
+    flat = d.reshape(len(d), -1)
+    first = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)]
+    flip = (first.real < 0) | ((first.real == 0) & (first.imag < 0))
+    d[flip] = -d[flip]
+    return 0.5 * np.abs(np.linalg.eigvalsh(d)).sum(axis=1)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of (a - b)."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    d = a.mat - b.mat
-    d = _canonical_sign((d + d.conj().T) / 2)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())
+    return float(trace_distances(a.mat[None], b.mat[None])[0])

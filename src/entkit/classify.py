@@ -19,7 +19,6 @@ slice map minus the form's prediction, against max(tol.eps, 1e-9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 from typing import Callable, Union
 
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from .bipartite import BipartiteSpace, PureState, _fix_phase, product_state, schmidt_ranks
 from .errors import (
     DimensionError,
-    NonUnitaryError,
     SliceHypothesisError,
     SlicePatternError,
     WitnessSearchError,
@@ -39,12 +37,13 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
+    probe_grid,
     probe_states,
     require_unit,
+    require_unitary,
     rng_from_seed,
     slice_map,
     tensor_product,
-    unitarity_defect,
 )
 
 # Number of seeded random product inputs tried after the deterministic grid
@@ -120,9 +119,7 @@ def _check_bipartite_unitary(u: np.ndarray, d1: int, d2: int, tol: Tolerance) ->
         raise DimensionError(f"dimensions must be positive, got ({d1}, {d2})")
     if u.shape != (d1 * d2, d1 * d2):
         raise DimensionError(f"matrix shape {u.shape} != ({d1 * d2}, {d1 * d2})")
-    defect = unitarity_defect(u)
-    if defect > tol.eps:
-        raise NonUnitaryError(f"input is not unitary: defect {defect:.3e}", defect)
+    require_unitary(u, tol, "input")
     return u
 
 
@@ -183,22 +180,6 @@ def _swap_columns(u: np.ndarray, d: int) -> np.ndarray:
     return u.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_factors(d: int) -> np.ndarray:
-    """Rows (e_i + e_j) / ||e_i + e_j|| for i <= j, in row-major pair order.
-
-    Cached per dimension, so the array is read-only.
-    """
-    i, j = np.triu_indices(d)
-    rows = np.arange(i.size)
-    f = np.zeros((i.size, d))
-    f[rows, i] += 1.0
-    f[rows, j] += 1.0
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    f.flags.writeable = False
-    return f
-
-
 def _first_hit(
     images: Callable[[int, int], np.ndarray], n: int, d1: int, d2: int, margin: float
 ) -> tuple[int, float] | None:
@@ -226,14 +207,14 @@ def _find_witness(
     """First product input a ⊗ b whose image u(a ⊗ b) has second Schmidt
     coefficient > margin, as (a, b, coefficient); None when no probe has one.
 
-    Probes the superposition grid (e_i + e_j) ⊗ (f_k + f_l), normalized, with
-    the left pair as the outer loop, then n_samples random product inputs
-    drawn from one generator seeded with ``seed``.
+    Probes the superposition grid (e_i + e_j) ⊗ (f_k + f_l), normalized, of
+    probe_grid's rows, with the left row as the outer loop, then n_samples
+    random product inputs drawn from one generator seeded with ``seed``.
     """
     if min(d1, d2) == 1:
         return None
     dim = d1 * d2
-    left, right = _grid_factors(d1), _grid_factors(d2)
+    left, right = probe_grid(d1)[1], probe_grid(d2)[1]
     n2 = right.shape[0]
     u3 = u.reshape(dim, d1, d2)
 

@@ -103,17 +103,16 @@ class EntanglementProfile:
 
 def profile_inputs(
     d1: int, d2: int, probe_init: np.ndarray, seed: int, n_inputs: int
-) -> list[tuple[str, np.ndarray]]:
-    """Deterministic labeled input family probed along a path: object basis
-    vectors and pairwise superpositions ⊗ probe_init, then random products
-    a_k ⊗ b_k, all a_k then all b_k drawn by probe_states from ``seed``."""
+) -> tuple[list[str], np.ndarray]:
+    """Deterministic labeled input family probed along a path, as (labels,
+    rows): the object grid rows of probe_grid ⊗ probe_init, then random
+    products a_k ⊗ b_k, all a_k then all b_k drawn by probe_states from ``seed``."""
     rng = rng_from_seed(seed)
     labels, left = probe_states(d1, rng, n_inputs)
     _, right = probe_states(d2, rng, n_inputs, grid=False)
     n_grid = len(labels) - n_inputs
     right = np.concatenate([np.broadcast_to(probe_init, (n_grid, d2)), right])
-    vecs = (left[:, :, None] * right[:, None, :]).reshape(len(labels), d1 * d2)
-    return list(zip(labels, vecs))
+    return labels, (left[:, :, None] * right[:, None, :]).reshape(len(labels), d1 * d2)
 
 
 def entanglement_profile(
@@ -147,8 +146,7 @@ def entanglement_profile(
     bound = delta * (2 + delta)
     if bound > tol.eps:
         raise NonUnitaryError(f"path is not unitary: defect bound {bound:.3e}", bound)
-    inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
-    vecs = np.stack([vec for _, vec in inputs])
+    labels, vecs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     points = []
     for k in range(n_steps + 1):
         t = k / n_steps
@@ -157,8 +155,8 @@ def entanglement_profile(
         # argmax takes the first maximum, as a strict > scan over the inputs would.
         best = int(np.argmax(entropies))
         form = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}"))
-        # inputs[best] is the (maximizing_input_id, maximizing_input) pair.
-        points.append(ProfilePoint(t, float(entropies[best]), *inputs[best], form.verdict))
+        point = ProfilePoint(t, float(entropies[best]), labels[best], vecs[best], form.verdict)
+        points.append(point)
     return EntanglementProfile(p.space, tuple(points))
 
 

@@ -9,6 +9,7 @@ integer seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import zlib
 
 import numpy as np
@@ -113,6 +114,16 @@ def unitarity_defect(u: np.ndarray) -> float:
     return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 
+def require_unitary(u: np.ndarray, tol: Tolerance, what: str, defect: float | None = None) -> float:
+    """u's unitarity defect, or NonUnitaryError naming ``what`` when it exceeds
+    tol.eps; ``defect`` skips the computation when the caller holds it."""
+    if defect is None:
+        defect = unitarity_defect(u)
+    if defect > tol.eps:
+        raise NonUnitaryError(f"{what} is not unitary: defect {defect:.3e}", defect)
+    return defect
+
+
 def slice_map(u: np.ndarray, d1: int, d2: int, phi0: np.ndarray) -> np.ndarray:
     """B = U(I ⊗ φ0), the (d1*d2) x d1 map φ -> U(φ ⊗ φ0); column i is U(e_i ⊗ φ0)."""
     return (u.reshape(-1, d2) @ phi0).reshape(d1 * d2, d1)
@@ -124,9 +135,7 @@ def unitary_eig(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray
     within 1e-12 of the cut are folded onto +pi, so -1 is stable under rounding.
     Degenerate eigenspaces get the (deterministic per build) Schur basis."""
     u = as_matrix(u)
-    defect = unitarity_defect(u)
-    if defect > tol.eps:
-        raise NonUnitaryError(f"matrix is not unitary: defect {defect:.3e}", defect)
+    require_unitary(u, tol, "matrix")
     t, z = scipy.linalg.schur(u, output="complex")
     theta = np.angle(np.diagonal(t))
     return np.where(theta <= -np.pi + 1e-12, theta + 2 * np.pi, theta), z
@@ -192,20 +201,32 @@ def random_state(d: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+@functools.lru_cache(maxsize=16)
+def probe_grid(d: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The deterministic probe rows (e_i + e_j) / ||e_i + e_j|| for i <= j in
+    row-major order: "basis:i" (exactly e_i) on the diagonal, "pair:i:j" =
+    (e_i + e_j)/sqrt(2) off it. Cached per dimension, so the array is read-only."""
+    i, j = np.triu_indices(d)
+    rows = np.eye(d, dtype=np.complex128)[i] + np.eye(d)[j]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows.flags.writeable = False
+    labels = tuple(f"basis:{a}" if a == b else f"pair:{a}:{b}" for a, b in zip(i, j))
+    return labels, rows
+
+
 def probe_states(
     d: int, rng: np.random.Generator, n_random: int, grid: bool = True
 ) -> tuple[list[str], np.ndarray]:
-    """Labelled unit d-vectors as rows: with grid, "basis:i", then "pair:i:j"
-    = (e_i + e_j)/sqrt(2) for i < j in row-major order; then n_random rows
-    "rand:k" of complex Gaussians from rng (all real parts drawn first)."""
+    """Labelled unit d-vectors as rows: with grid, the rows of probe_grid(d);
+    then n_random rows "rand:k" of complex Gaussians from rng (all real parts
+    drawn first)."""
     v = rng.standard_normal((n_random, d)) + 1j * rng.standard_normal((n_random, d))
     labels = [f"rand:{k}" for k in range(n_random)]
     rows = v / np.linalg.norm(v, axis=1, keepdims=True)
     if grid:
-        i, j = np.triu_indices(d, 1)
-        eye = np.eye(d, dtype=np.complex128)
-        labels = [f"basis:{k}" for k in range(d)] + [f"pair:{a}:{b}" for a, b in zip(i, j)] + labels
-        rows = np.concatenate([eye, (eye[i] + eye[j]) / np.sqrt(2), rows])
+        grid_labels, grid_rows = probe_grid(d)
+        labels = list(grid_labels) + labels
+        rows = np.concatenate([grid_rows, rows])
     return labels, rows
 
 

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bipartite import DensityOperator, trace_distance
-from .errors import DimensionError, InvalidPOVMError, NonUnitaryError
+from .bipartite import DensityOperator, trace_distance, trace_distances
+from .errors import DimensionError, InvalidPOVMError
 from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -25,6 +25,7 @@ from .linalg import (
     frobenius,
     probe_states,
     require_unit,
+    require_unitary,
     rng_from_seed,
     slice_map,
     swap_unitary,
@@ -34,19 +35,21 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class POVM:
-    """Finite-outcome positive operator valued measure."""
+    """Finite-outcome POVM, its effects one read-only (n_outcomes, dim, dim) array."""
 
     dim: int
     outcomes: tuple[str, ...]
-    effects: tuple[np.ndarray, ...] = field(repr=False)
+    effects: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.outcomes) != len(self.effects) or not self.effects:
+        if len(self.outcomes) != len(self.effects) or not len(self.outcomes):
             raise InvalidPOVMError("need one effect per outcome label")
-        effects = tuple(as_matrix(e) for e in self.effects)
+        effects = [as_matrix(e) for e in self.effects]
         for e in effects:
             if e.shape != (self.dim, self.dim):
                 raise DimensionError(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
+        effects = np.stack(effects)
+        effects.flags.writeable = False
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
 
@@ -56,20 +59,14 @@ def validate_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, dict]:
 
     The report records the worst violation per invariant.
     """
-    worst_herm = 0.0
-    worst_neg = 0.0
-    for eff in e.effects:
-        worst_herm = max(worst_herm, frobenius(eff - eff.conj().T))
-        lo = float(np.linalg.eigvalsh((eff + eff.conj().T) / 2).min())
-        worst_neg = max(worst_neg, -min(lo, 0.0))
-    completeness = frobenius(sum(e.effects) - np.eye(e.dim))
+    eff = e.effects
+    eff_h = eff.conj().transpose(0, 2, 1)
     report = {
-        "hermiticity_defect": worst_herm,
-        "negativity": worst_neg,
-        "completeness_defect": completeness,
+        "hermiticity_defect": max(frobenius(h) for h in eff - eff_h),
+        "negativity": max(0.0, -float(np.linalg.eigvalsh((eff + eff_h) / 2).min())),
+        "completeness_defect": frobenius(eff.sum(axis=0) - np.eye(e.dim)),
     }
-    ok = worst_herm <= tol.eps and worst_neg <= tol.eps and completeness <= tol.eps
-    return ok, report
+    return all(v <= tol.eps for v in report.values()), report
 
 
 def require_valid_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -121,40 +118,50 @@ class MeasurementScheme:
         return b
 
     def check(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        defect = self.coupling_defect
-        if defect > tol.eps:
-            raise NonUnitaryError(f"coupling is not unitary: defect {defect:.3e}", defect)
+        require_unitary(self.coupling, tol, "coupling", self.coupling_defect)
         require_unit(self.probe_init, tol, "probe_init")
         require_valid_povm(self.pointer, tol)
 
 
 @dataclass(frozen=True)
 class Instrument:
-    """Outcome-indexed completely positive maps in Kraus form."""
+    """Outcome-indexed completely positive maps: kraus[X, k], the k-th Kraus operator
+    of outcome X, in one read-only (n_outcomes, n_kraus, dim, dim) array."""
 
     dim: int
     outcomes: tuple[str, ...]
-    kraus: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        kraus = np.array(self.kraus, dtype=np.complex128, order="C")
+        if kraus.shape[:1] + kraus.shape[2:] != (len(self.outcomes), self.dim, self.dim):
+            raise DimensionError(f"Kraus stack shape {kraus.shape} does not fit dim {self.dim}")
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
+
+    def apply(self, rhos: np.ndarray) -> np.ndarray:
+        """Outcome maps sum_k K_{X,k} ρ K_{X,k}^† of an (n, dim, dim) stack, as
+        (n, n_outcomes, dim, dim). One gemm forms K ρ for every Kraus operator, a
+        batched matmul multiplies each by its K^†, and the products are summed over
+        k in order, so every map rounds as a loop over the Kraus operators does.
+        Conjugating K ρ and the sums, not the stack, leaves the stack uncopied."""
+        kr = self.kraus.reshape(-1, self.dim) @ rhos
+        np.conjugate(kr, out=kr)
+        kr = kr.reshape(len(rhos), *self.kraus.shape)
+        out = (kr @ self.kraus.transpose(0, 1, 3, 2)).sum(axis=2)
+        return np.conjugate(out, out=out)
 
     def outcome_map(self, index: int, rho: DensityOperator) -> np.ndarray:
         """Unnormalized conditional output for one outcome."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for k in self.kraus[index]:
-            out += k @ rho.mat @ k.conj().T
-        return out
+        return self.apply(rho.mat[None])[0, index]
 
     def nonselective(self, rho: DensityOperator) -> DensityOperator:
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for index in range(len(self.outcomes)):
-            total += self.outcome_map(index, rho)
-        return DensityOperator(self.dim, total)
+        return DensityOperator(self.dim, self.apply(rho.mat[None])[0].sum(axis=0))
 
     def trace_preservation_defect(self) -> float:
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for ops in self.kraus:
-            for k in ops:
-                acc += k.conj().T @ k
-        return frobenius(acc - np.eye(self.dim))
+        """||sum K^†K - I||_F, one gemm over the concatenated Kraus operators."""
+        rows = self.kraus.reshape(-1, self.dim)
+        return frobenius(rows.conj().T @ rows - np.eye(self.dim))
 
 
 @dataclass(frozen=True)
@@ -181,10 +188,9 @@ def measured_observable(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> P
     d1, d2 = s.object_dim, s.probe_dim
     # (I ⊗ E(X)) B for every outcome X: (n_outcomes, d1*d2, d1), never D x D.
     b = s.slice_map
-    eb = np.stack(s.pointer.effects)[:, None] @ b.reshape(d1, d2, d1)
+    eb = s.pointer.effects[:, None] @ b.reshape(d1, d2, d1)
     ep = b.conj().T @ eb.reshape(-1, d1 * d2, d1)
-    effects = (ep + ep.conj().transpose(0, 2, 1)) / 2
-    return POVM(d1, s.pointer.outcomes, tuple(effects))
+    return POVM(d1, s.pointer.outcomes, (ep + ep.conj().transpose(0, 2, 1)) / 2)
 
 
 def outcome_probabilities(
@@ -199,7 +205,7 @@ def outcome_probabilities(
     psi = (s.slice_map @ phi).reshape(s.object_dim, s.probe_dim)
     # The probe's reduced state, probe[r, q] = sum_a psi[a, r] conj(psi[a, q]).
     probe = psi.T @ psi.conj()
-    probs = np.einsum("xqr,rq->x", np.stack(s.pointer.effects), probe).real
+    probs = np.einsum("xqr,rq->x", s.pointer.effects, probe).real
     # Rounding slack only: small negatives clamp to 0, and the total may be
     # renormalized within 10 * eps of 1. Larger deviations are logic bugs.
     if probs.min() < -tol.eps:
@@ -212,7 +218,7 @@ def outcome_probabilities(
 
 
 def luders_instrument(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Instrument:
-    """Square-root pointer reading of the scheme, as Kraus collections.
+    """Square-root pointer reading of the scheme, as one Kraus stack.
 
     K_{X,k} = (I ⊗ <g_k|) (I ⊗ sqrt(E(X))) U (I ⊗ |φ0>) over a probe basis
     {g_k}; the total map is trace preserving and Tr I_X(ρ) reproduces the
@@ -220,15 +226,13 @@ def luders_instrument(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Ins
     """
     s.check(tol)
     d1, d2 = s.object_dim, s.probe_dim
-    eff = np.stack(s.pointer.effects)
+    eff = s.pointer.effects
     w, v = np.linalg.eigh((eff + eff.conj().transpose(0, 2, 1)) / 2)
-    if w.min() < -tol.eps:
-        raise InvalidPOVMError(f"effect eigenvalue {w.min()} below -eps")
+    # s.check validated the pointer: the clip only absorbs rounding and tol.
     roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
     # m[X, :, k, :] is (I ⊗ <g_k|) applied to (I ⊗ sqrt(E(X))) B.
     m = roots[:, None] @ s.slice_map.reshape(d1, d2, d1)
-    kraus = tuple(tuple(ops) for ops in m.transpose(0, 2, 1, 3))
-    return Instrument(d1, s.pointer.outcomes, kraus)
+    return Instrument(d1, s.pointer.outcomes, m.transpose(0, 2, 1, 3))
 
 
 def disturbance(
@@ -237,8 +241,7 @@ def disturbance(
     """Trace distance between rho and the non-selective post-measurement state."""
     if rho.dim != s.object_dim:
         raise DimensionError(f"state dim {rho.dim} != object dim {s.object_dim}")
-    inst = luders_instrument(s, tol)
-    return trace_distance(rho, inst.nonselective(rho))
+    return trace_distance(rho, luders_instrument(s, tol).nonselective(rho))
 
 
 def is_trivial_povm(
@@ -287,22 +290,19 @@ def no_info_no_disturbance_check(
     is intentionally not asserted: product couplings disturb without
     transferring information.
     """
-    inst = luders_instrument(s, tol)
     labels, vecs = probe_states(s.object_dim, rng_from_seed(seed), n_states)
-    max_dist = 0.0
-    max_state = labels[0]
-    for label, vec in zip(labels, vecs):
-        rho = DensityOperator.from_pure(vec)
-        dist = trace_distance(rho, inst.nonselective(rho))
-        if dist > max_dist:
-            max_dist, max_state = dist, label
+    rhos = vecs[:, :, None] * vecs[:, None, :].conj()
+    dists = trace_distances(rhos, luders_instrument(s, tol).apply(rhos).sum(axis=1))
+    # The first maximum wins: a tie names the earliest state.
+    best = int(np.argmax(dists))
+    max_dist = float(dists[best])
     deviation = triviality_deviation(measured_observable(s, tol))
     undisturbed = max_dist <= tol.eps
     trivial = deviation <= tol.eps
     return NoInfoNoDisturbanceReport(
         n_states=len(labels),
         max_disturbance=max_dist,
-        max_disturbance_state=max_state,
+        max_disturbance_state=labels[best],
         max_triviality_deviation=deviation,
         undisturbed=undisturbed,
         trivial=trivial,

@@ -354,9 +354,7 @@ def suite_swap_obstruction(
         if d == 2:
             midpoint = next(pt for pt in profile.points if pt.t == 0.5)
             oracle_u = sqrt_swap_oracle(d)
-            same_inputs = np.stack([
-                vec for _, vec in profile_inputs(d, d, probe_init, split_seed(seed, f"ob-{d}"), 8)
-            ])
+            _, same_inputs = profile_inputs(d, d, probe_init, split_seed(seed, f"ob-{d}"), 8)
             oracle_entropy = float(entanglement_entropies(path.space, same_inputs @ oracle_u.T).max())
             deviation = abs(midpoint.max_entropy_bits - oracle_entropy)
             tally.check(deviation < 1e-6, midpoint_oracle_deviation=deviation)

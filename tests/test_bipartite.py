@@ -18,6 +18,7 @@ from entkit.bipartite import (
     schmidt_rank,
     schmidt_ranks,
     trace_distance,
+    trace_distances,
 )
 from entkit.errors import DimensionError, NormalizationError
 from entkit.fixtures import cnot
@@ -258,6 +259,19 @@ class TestEntanglementEntropies:
             entanglement_entropies(BipartiteSpace(2, 3), np.stack([random_state(4, 1)]))
 
 
+def _one_pair_trace_distance(a, b):
+    """The single-pair rule of entkit 0.11.0: flip the Hermitian part of a - b
+    so its first nonzero entry is positive (or has positive imaginary part
+    when real part 0), then half the sum of |eigenvalues|."""
+    d = a - b
+    d = (d + d.conj().T) / 2
+    flat = d.ravel()
+    nz = np.flatnonzero(flat != 0)
+    if nz.size and (flat[nz[0]].real < 0 or (flat[nz[0]].real == 0 and flat[nz[0]].imag < 0)):
+        d = -d
+    return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())
+
+
 class TestTraceDistance:
     def test_same_state(self):
         rho = DensityOperator.from_pure(random_state(3, 1))
@@ -284,6 +298,16 @@ class TestTraceDistance:
     def test_triangle_inequality(self, seed):
         a, b, c = (DensityOperator.from_pure(random_state(3, seed + k)) for k in range(3))
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
+
+    def test_stack_matches_the_one_pair_rule(self):
+        states = [DensityOperator.from_pure(random_state(3, seed)).mat for seed in range(3)]
+        # One pair in both orders (so one difference starts negative), another, a zero one.
+        a = np.stack([states[0], states[1], states[1], states[2]])
+        b = np.stack([states[1], states[0], states[2], states[2]])
+        got = trace_distances(a, b)
+        assert got.shape == (4,) and got[3] == 0.0
+        np.testing.assert_array_equal(got, [_one_pair_trace_distance(x, y) for x, y in zip(a, b)])
+        np.testing.assert_array_equal(got, trace_distances(b, a))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -785,7 +785,7 @@ class TestWitnessEngine:
         # An empty grid leaves the random tail alone. With this seed and
         # margin the first ten random inputs fall short, so the hit is the
         # eleventh, past several batch boundaries.
-        monkeypatch.setattr(classify, "_grid_factors", lambda d: np.zeros((0, d)))
+        monkeypatch.setattr(classify, "probe_grid", lambda d: ((), np.zeros((0, d))))
         u, d1, d2, seed, n = controlled_phase(np.pi / 3, 3, 3), 3, 3, 21, 40
         rng = rng_from_seed(seed)
         _, a = probe_states(d1, rng, n, grid=False)

@@ -141,13 +141,14 @@ class TestPathPoint:
 @pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2)])
 def test_profile_inputs_come_from_the_probe_generator(d1, d2):
     probe_init = random_state(d2, 8)
-    inputs = profile_inputs(d1, d2, probe_init, 9, 4)
+    input_ids, vecs = profile_inputs(d1, d2, probe_init, 9, 4)
     rng = rng_from_seed(9)
     labels, left = probe_states(d1, rng, 4)
     _, right = probe_states(d2, rng, 4, grid=False)
-    assert [label for label, _ in inputs] == labels
+    assert input_ids == labels
+    assert vecs.shape == (len(labels), d1 * d2)
     n_grid = len(labels) - 4
-    for k, (_, vec) in enumerate(inputs):
+    for k, vec in enumerate(vecs):
         b = probe_init if k < n_grid else right[k - n_grid]
         np.testing.assert_array_equal(vec, np.kron(left[k], b))
 
@@ -157,18 +158,18 @@ def _reference_profile(u, d1, d2, probe_init, n_steps, seed, n_inputs):
     SVD, in input order, with the verdict of U_t, where U_t comes by the old
     route: exp_i_hermitian of the endpoint's logarithm."""
     h = unitary_log(u)
-    inputs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
+    input_ids, vecs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     points = []
     for k in range(n_steps + 1):
         u_t = exp_i_hermitian(h, k / n_steps)
         entropies = []
-        for _, vec in inputs:
+        for vec in vecs:
             s = np.linalg.svd((u_t @ vec).reshape(d1, d2), compute_uv=False)
             p = s[s > 0] ** 2
             entropies.append(float(-(p * np.log2(p)).sum()))
         form = classify_unitary(u_t, d1, d2, seed=split_seed(seed, f"verdict-{k}"))
         points.append((entropies, form.verdict))
-    return [input_id for input_id, _ in inputs], points
+    return input_ids, points
 
 
 class TestEntanglementProfile:
@@ -267,11 +268,11 @@ class TestEntanglementProfile:
         path = geodesic_path(swap_unitary(2), 2, 2)
         profile = entanglement_profile(path, E2[0], n_steps=64, seed=5, n_inputs=8)
         midpoint = next(pt for pt in profile.points if pt.t == 0.5)
-        inputs = profile_inputs(2, 2, E2[0], 5, 8)
+        _, inputs = profile_inputs(2, 2, E2[0], 5, 8)
         oracle_u = sqrt_swap_oracle(2)
         oracle_max = max(
             entanglement_entropy(PureState(BipartiteSpace(2, 2), oracle_u @ vec))
-            for _, vec in inputs
+            for vec in inputs
         )
         assert abs(midpoint.max_entropy_bits - oracle_max) < 1e-6
 

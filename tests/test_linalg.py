@@ -5,25 +5,32 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from entkit.classify import classify_unitary
 from entkit.errors import DimensionError, NonUnitaryError
+from entkit.fixtures import projective_povm
 from entkit.linalg import (
     Tolerance,
     adjoint,
     exp_i_hermitian,
     haar_unitary,
     is_unitary,
+    probe_grid,
     probe_states,
     random_hermitian,
     random_state,
+    require_unitary,
     rng_from_seed,
     swap_unitary,
     tensor_product,
     unitarity_defect,
+    unitary_eig,
     unitary_log,
 )
+from entkit.measurement import MeasurementScheme
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+E2 = np.eye(2)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -131,6 +138,30 @@ class TestIsUnitary:
         with pytest.raises(DimensionError):
             is_unitary(np.ones((2, 3)))
 
+    def test_require_unitary_names_its_subject(self):
+        assert require_unitary(HADAMARD, Tolerance(), "gate") == unitarity_defect(HADAMARD)
+        message = "^gate is not unitary: defect 3.000e\\+00$"
+        with pytest.raises(NonUnitaryError, match=message) as exc:
+            require_unitary(np.diag([1.0, 2.0]), Tolerance(), "gate")
+        assert exc.value.defect == 3.0
+
+    def test_require_unitary_takes_a_known_defect(self):
+        # The matrix is not looked at when the caller passes its defect.
+        assert require_unitary(None, Tolerance(1e-3), "coupling", 1e-4) == 1e-4
+        with pytest.raises(NonUnitaryError, match="coupling is not unitary"):
+            require_unitary(None, Tolerance(1e-5), "coupling", 1e-4)
+
+    @pytest.mark.parametrize("subject", ["input", "matrix", "coupling"])
+    def test_every_check_keeps_its_subject(self, subject):
+        u = swap_unitary(2) * 1.01
+        run = {
+            "input": lambda: classify_unitary(u, 2, 2),
+            "matrix": lambda: unitary_eig(u),
+            "coupling": lambda: MeasurementScheme(2, 2, E2[0], u, projective_povm(2)).check(),
+        }[subject]
+        with pytest.raises(NonUnitaryError, match=f"^{subject} is not unitary"):
+            run()
+
     def test_defect_is_symmetric(self):
         m = np.random.default_rng(3).standard_normal((5, 5)) * (1 + 0.5j)
         eye = np.eye(5)
@@ -230,16 +261,26 @@ def _reference_random_rows(rng, n, d):
 
 class TestProbeStates:
     def test_labels_and_order(self):
+        # The grid is row-major over i <= j, the witness search's order.
         labels, vecs = probe_states(3, rng_from_seed(1), 2)
         assert labels == [
-            "basis:0", "basis:1", "basis:2",
-            "pair:0:1", "pair:0:2", "pair:1:2",
+            "basis:0", "pair:0:1", "pair:0:2",
+            "basis:1", "pair:1:2",
+            "basis:2",
             "rand:0", "rand:1",
         ]
-        np.testing.assert_array_equal(vecs[:3], np.eye(3))
+        np.testing.assert_array_equal(vecs[[0, 3, 5]], np.eye(3))
         r = 1 / np.sqrt(2)
-        np.testing.assert_array_equal(vecs[3:6], [[r, r, 0], [r, 0, r], [0, r, r]])
+        np.testing.assert_array_equal(vecs[[1, 2, 4]], [[r, r, 0], [r, 0, r], [0, r, r]])
         assert vecs.dtype == np.complex128
+
+    def test_grid_is_cached_and_read_only(self):
+        labels, rows = probe_grid(4)
+        assert probe_grid(4)[1] is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        assert labels == tuple(probe_states(4, rng_from_seed(0), 0)[0])
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_unit_norms(self, d):
@@ -256,7 +297,7 @@ class TestProbeStates:
 
     def test_grid_only(self):
         labels, vecs = probe_states(2, rng_from_seed(0), 0)
-        assert labels == ["basis:0", "basis:1", "pair:0:1"]
+        assert labels == ["basis:0", "pair:0:1", "basis:1"]
         assert vecs.shape == (3, 2)
 
 

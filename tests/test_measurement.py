@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit.bipartite import DensityOperator, trace_distance
-from entkit.errors import InvalidPOVMError, NonUnitaryError, NormalizationError
+from entkit.errors import DimensionError, InvalidPOVMError, NonUnitaryError, NormalizationError
 from entkit.fixtures import (
     haar_product,
     projective_povm,
@@ -21,6 +21,7 @@ from entkit.linalg import (
     tensor_product,
 )
 from entkit.measurement import (
+    Instrument,
     MeasurementScheme,
     POVM,
     disturbance,
@@ -452,3 +453,112 @@ class TestNoInfoStates:
         assert report.n_states == len(labels)
         assert report.max_disturbance_state == labels[int(np.argmax(dists))]
         assert report.max_disturbance == max(dists)
+
+
+def _loop_outcome_map(inst, index, rho):
+    """One outcome's map by the per-Kraus loop of entkit 0.11.0."""
+    out = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
+    for k in inst.kraus[index]:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def _loop_nonselective(inst, rho):
+    total = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
+    for index in range(len(inst.outcomes)):
+        total += _loop_outcome_map(inst, index, rho)
+    return total
+
+
+def _loop_trace_preservation_defect(inst):
+    acc = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
+    for ops in inst.kraus:
+        for k in ops:
+            acc += k.conj().T @ k
+    return np.linalg.norm(acc - np.eye(inst.dim))
+
+
+def _mixed_state(d, seed):
+    a, b = random_state(d, seed), random_state(d, seed + 1)
+    return 0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj())
+
+
+class TestChannelAgainstKrausLoop:
+    """The stacked channel rounds as the per-Kraus loop it replaced, which
+    keeps the disturbance in every report byte-identical."""
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_outcome_maps_and_nonselective(self, d1, d2):
+        inst = luders_instrument(_reference_scheme(d1, d2))
+        pure = DensityOperator.from_pure(random_state(d1, 7))
+        for rho in (pure, DensityOperator(d1, _mixed_state(d1, 8))):
+            for index in range(len(inst.outcomes)):
+                np.testing.assert_array_equal(
+                    inst.outcome_map(index, rho), _loop_outcome_map(inst, index, rho.mat)
+                )
+            want = _loop_nonselective(inst, rho.mat)
+            np.testing.assert_array_equal(inst.nonselective(rho).mat, want)
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_trace_preservation_defect(self, d1, d2):
+        inst = luders_instrument(_reference_scheme(d1, d2))
+        defect = inst.trace_preservation_defect()
+        assert defect < 1e-13
+        assert abs(defect - _loop_trace_preservation_defect(inst)) < 1e-14
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_each_state_of_a_stack_as_alone(self, d1, d2):
+        inst = luders_instrument(_reference_scheme(d1, d2))
+        _, vecs = probe_states(d1, rng_from_seed(3), 4)
+        rhos = np.concatenate([vecs[:, :, None] * vecs[:, None, :].conj(), [_mixed_state(d1, 9)]])
+        out = inst.apply(rhos)
+        assert out.shape == (len(rhos), len(inst.outcomes), d1, d1)
+        for rho, maps in zip(rhos, out):
+            np.testing.assert_array_equal(maps, inst.apply(rho[None])[0])
+
+
+class TestStackedOperators:
+    def test_povm_effects_are_a_read_only_stack(self):
+        effects = [0.3 * np.eye(3), 0.7 * np.eye(3)]
+        e = POVM(3, ("a", "b"), effects)
+        assert e.effects.shape == (2, 3, 3) and e.effects.dtype == np.complex128
+        effects[0][0, 0] = 5.0
+        assert e.effects[0, 0, 0] == 0.3
+        with pytest.raises(ValueError):
+            e.effects[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
+    def test_instrument_kraus_is_a_read_only_stack(self, d1, d2):
+        s = _reference_scheme(d1, d2)
+        inst = luders_instrument(s)
+        assert inst.kraus.shape == (len(s.pointer.outcomes), d2, d1, d1)
+        assert inst.kraus.flags.c_contiguous
+        with pytest.raises(ValueError):
+            inst.kraus[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "second", [np.eye(3), np.ones(2), np.ones((2, 2, 2))], ids=["3x3", "vector", "3-d"]
+    )
+    def test_ragged_povm_is_a_dimension_error(self, second):
+        with pytest.raises(DimensionError):
+            POVM(2, ("a", "b"), (np.eye(2), second))
+
+    def test_instrument_shape_is_checked(self):
+        for kraus in (np.zeros((1, 2, 3, 3)), np.zeros((2, 2, 2, 2)), np.zeros((1, 2, 2))):
+            with pytest.raises(DimensionError):
+                Instrument(2, ("a",), kraus)
+
+    def test_effect_eigenvalue_just_below_zero_stays_trace_preserving(self):
+        # -1e-10 is within tol 1e-9, so the scheme check passes it and the
+        # square roots clip it to 0; the sum of effects is still I.
+        eps = 1e-10
+        pointer = POVM(2, ("0", "1"), (np.diag([-eps, 0.5]), np.diag([1 + eps, 0.5])))
+        s = MeasurementScheme(2, 2, random_state(2, 1), haar_unitary(4, 2), pointer)
+        assert np.linalg.eigvalsh(pointer.effects[0]).min() == -eps
+        assert luders_instrument(s).trace_preservation_defect() <= 2 * eps
+
+    def test_effect_eigenvalue_below_minus_tol_is_refused(self):
+        pointer = POVM(2, ("0", "1"), (np.diag([-1e-8, 0.5]), np.diag([1 + 1e-8, 0.5])))
+        s = MeasurementScheme(2, 2, random_state(2, 1), haar_unitary(4, 2), pointer)
+        with pytest.raises(InvalidPOVMError, match="negativity"):
+            luders_instrument(s)
