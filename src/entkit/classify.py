@@ -19,6 +19,7 @@ slice map minus the form's prediction, against max(tol.eps, 1e-9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Callable, Union
 
 import numpy as np
@@ -52,6 +53,8 @@ WITNESS_SAMPLES = 64
 
 # Most probe candidates whose images one batch of the witness engine holds.
 _BATCH_CAP = 1024
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,17 @@ class TransferToProbe:
 SliceForm = Union[LocalOnObject, TransferToProbe]
 
 
-def _check_bipartite_unitary(u: np.ndarray, d1: int, d2: int, tol: Tolerance) -> np.ndarray:
+def _check_shape(u: np.ndarray, d1: int, d2: int) -> np.ndarray:
     u = as_matrix(u)
     if d1 < 1 or d2 < 1:
         raise DimensionError(f"dimensions must be positive, got ({d1}, {d2})")
     if u.shape != (d1 * d2, d1 * d2):
         raise DimensionError(f"matrix shape {u.shape} != ({d1 * d2}, {d1 * d2})")
+    return u
+
+
+def _check_bipartite_unitary(u: np.ndarray, d1: int, d2: int, tol: Tolerance) -> np.ndarray:
+    u = _check_shape(u, d1, d2)
     require_unitary(u, tol, "input")
     return u
 
@@ -155,24 +163,76 @@ def witness_margin(tol: Tolerance) -> float:
     return 10 * tol.eps
 
 
-def _rank_one_fit(r: np.ndarray, d1: int, d2: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(||U - V ⊗ W||_F, V, W) for the rank-one fit vec(V) vec(W)^T of R(U).
+def _rank_one_fit(
+    r: np.ndarray, d1: int, d2: int, margin: float
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(||U - V ⊗ W||_F, V, W) for the rank-one fit vec(V) vec(W)^T of R(U),
+    or None when that residual is above margin.
 
     One step a <- R (a^† R)^† of power iteration on R R^† from R's largest
     column damps all but the leading direction by (s1/s0)^2; with a
-    normalized, vec(W) = a^† R. The residual is the norm of the difference:
-    sqrt(||R||² - ||vec(W)||²) cancels to ~1e-6 on a d = 32 product, whose
-    residual is ~2e-14. Both factors get the Frobenius norm of a unitary;
-    the caller fixes the phase.
+    normalized, vec(W) = a^† R. A zero step (R = 0, or underflow) fails.
+    For unit a the residual squared is ||R||² - ||vec(W)||², both sums at
+    hand, so a fit stops before the D² outer product once that difference
+    exceeds margin² by more than its rounding, 4(d1² + d2²)·eps·||R||²:
+    then the residual is provably above margin. The difference cancels to
+    ~1e-6 on a d = 32 product, whose residual is ~2e-14, so a fit that gets
+    through reports the norm of the difference itself. Both factors get the
+    Frobenius norm of a unitary; the caller fixes the phase.
     """
-    a = r[:, np.argmax(np.linalg.norm(r, axis=0))]
+    # Squared column norms as np.linalg.norm(r, axis=0) forms them, so the
+    # argmax picks the same column.
+    col_sq = np.add.reduce((r.conj() * r).real, axis=0)
+    a = r[:, np.argmax(np.sqrt(col_sq))]
     a = r @ (a.conj() @ r).conj()
-    a = a / np.linalg.norm(a)
+    norm = np.linalg.norm(a)
+    if not norm > 0:
+        return None
+    a = a / norm
     w = a.conj() @ r
+    total = col_sq.sum()
+    if total - np.vdot(w, w).real > margin**2 + 4 * (d1 * d1 + d2 * d2) * _EPS * total:
+        return None
     residual = frobenius(r - a[:, None] * w[None, :])
+    if not residual <= margin:
+        return None
     v_raw = a.reshape(d1, d1)
     alpha = np.sqrt(d1) / frobenius(v_raw)
     return residual, v_raw * alpha, w.reshape(d2, d2) / alpha
+
+
+def _unitarity_bound(form: Product | SwapForm) -> float:
+    """An upper bound on ||U^†U - I||_F for every U within the form's residual
+    of its reassembly, from the factors x, y alone: O(d³) against U^†U's D³.
+
+    With a = x^†x - I, b = y^†y - I and U = x ⊗ y + E, ||E||_F = r:
+    (x ⊗ y)^†(x ⊗ y) - I = a ⊗ I + I ⊗ b + a ⊗ b and ||x ⊗ y||_2² <=
+    (1 + ||a||)(1 + ||b||), so U^†U - I is within
+    sqrt(d_y)||a|| + sqrt(d_x)||b|| + ||a|| ||b|| + 2 sqrt((1 + ||a||)(1 + ||b||)) r + r².
+    It holds for (x ⊗ y)·SWAP as well, SWAP being unitary. Rounding slack:
+    ||a|| is raised by 4·d_x·eps·||x||², above the error of forming x^†x, and
+    r by 16·eps·(||x|| ||y|| + r), which covers the few roundings per entry
+    that the fit's alpha rescale and _fix_phase put between the factors and
+    the product whose residual the fit measured.
+    """
+    x, y = (form.v, form.w) if isinstance(form, Product) else (form.v21, form.w12)
+    (a, nx2), (b, ny2) = _gram_defect(x), _gram_defect(y)
+    dx, dy = len(x), len(y)
+    a += 4 * dx * _EPS * nx2
+    b += 4 * dy * _EPS * ny2
+    r = form.residual + 16 * _EPS * (math.sqrt(nx2 * ny2) + form.residual)
+    product_defect = math.sqrt(dy) * a + math.sqrt(dx) * b + a * b
+    return product_defect + 2 * math.sqrt((1 + a) * (1 + b)) * r + r * r
+
+
+def _gram_defect(z: np.ndarray) -> tuple[float, float]:
+    """(||z^†z - I||_F, ||z||_F²) of a small factor from one Gram matrix, the
+    identity subtracted in place; vdot, not np.linalg.norm, whose call
+    overhead would dominate at the d ~ 2 of most calls."""
+    g = z.conj().T @ z
+    sq_norm = g.trace().real
+    g.flat[:: len(g) + 1] -= 1
+    return math.sqrt(np.vdot(g, g).real), sq_norm
 
 
 def _swap_columns(u: np.ndarray, d: int) -> np.ndarray:
@@ -249,20 +309,25 @@ def _find_witness(
     return None
 
 
-def _classify(
-    u: np.ndarray, d1: int, d2: int, tol: Tolerance, seed: int
-) -> NonEntanglingForm:
-    """classify_unitary for a u that already passed its checks."""
+def _fit_form(u: np.ndarray, d1: int, d2: int, tol: Tolerance) -> Product | SwapForm | None:
+    """The product form, else (d1 == d2) the swap form, whose one-power-step
+    factors reconstruct u within the margin 10 * tol.eps; None when neither does."""
     margin = witness_margin(tol)
-    residual, v, w = _rank_one_fit(realign(u, d1, d2), d1, d2)
-    if residual <= margin:
-        return Product(*_fix_phase(v, w, tol), residual)
+    fit = _rank_one_fit(realign(u, d1, d2), d1, d2, margin)
+    if fit is not None:
+        return Product(*_fix_phase(fit[1], fit[2], tol), fit[0])
     if d1 == d2:
         # R(U·SWAP)[(i,k), (j,l)] = U[(i,j), (l,k)]: one reshuffle of U.
         r_swap = u.reshape(d1, d1, d1, d1).transpose(0, 3, 1, 2).reshape(d1 * d1, d1 * d1)
-        residual, v, w = _rank_one_fit(r_swap, d1, d1)
-        if residual <= margin:
-            return SwapForm(*_fix_phase(v, w, tol), residual)
+        fit = _rank_one_fit(r_swap, d1, d1, margin)
+        if fit is not None:
+            return SwapForm(*_fix_phase(fit[1], fit[2], tol), fit[0])
+    return None
+
+
+def _entangling(u: np.ndarray, d1: int, d2: int, tol: Tolerance, seed: int) -> Entangling:
+    """The witness search's verdict for a unitary u that no form fits."""
+    margin = witness_margin(tol)
     hit = _find_witness(u, d1, d2, margin, seed, WITNESS_SAMPLES)
     if hit is None:
         raise WitnessSearchError(
@@ -275,6 +340,14 @@ def _classify(
     image = u @ inp.vec
     witness = PureState(inp.space, image / np.linalg.norm(image))
     return Entangling(witness, inp, coeff)
+
+
+def _classify(
+    u: np.ndarray, d1: int, d2: int, tol: Tolerance, seed: int
+) -> NonEntanglingForm:
+    """classify_unitary for a u that already passed its checks."""
+    form = _fit_form(u, d1, d2, tol)
+    return _entangling(u, d1, d2, tol, seed) if form is None else form
 
 
 def classify_unitary(
@@ -296,9 +369,29 @@ def classify_unitary(
     a perturbation, so Ux has second coefficient <= ||U - V ⊗ W||_F; likewise
     for (V ⊗ W)·SWAP. A form carries that residual. m >= 1/sqrt(2) raises
     ValueError before any work on U: no witness can exist there.
+
+    The fits run first, on the D² realignment of a U whose unitarity is not
+    yet known; a fit whose power step is zero, as on the zero matrix, fails.
+    A form's factors then certify unitarity in O(d³): with a = V^†V - I,
+    b = W^†W - I and r the residual,
+    ||U^†U - I||_F <= sqrt(d2)||a|| + sqrt(d1)||b|| + ||a|| ||b||
+    + 2 sqrt((1 + ||a||)(1 + ||b||)) r + r², which the swap form meets too.
+    The bound adds rounding slack for forming V^†V and W^†W and for the few
+    roundings per entry that the fit's rescale by alpha and _fix_phase put
+    between the returned factors and the product whose residual was measured.
+    A bound within tol.eps returns the form with no D x D work. Otherwise,
+    and always before the witness search, U^†U is checked in full:
+    NonUnitaryError when its defect exceeds tol.eps.
     """
     witness_margin(tol)
-    return _classify(_check_bipartite_unitary(u, d1, d2, tol), d1, d2, tol, seed)
+    u = _check_shape(u, d1, d2)
+    form = _fit_form(u, d1, d2, tol)
+    if form is None:
+        require_unitary(u, tol, "input")
+        return _entangling(u, d1, d2, tol, seed)
+    if not _unitarity_bound(form) <= tol.eps:
+        require_unitary(u, tol, "input")
+    return form
 
 
 def reconstruction_error(form: NonEntanglingForm, u: np.ndarray) -> float:

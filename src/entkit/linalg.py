@@ -115,11 +115,12 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def require_unitary(u: np.ndarray, tol: Tolerance, what: str, defect: float | None = None) -> float:
-    """u's unitarity defect, or NonUnitaryError naming ``what`` when it exceeds
-    tol.eps; ``defect`` skips the computation when the caller holds it."""
+    """u's unitarity defect, or NonUnitaryError naming ``what`` unless it is
+    within tol.eps (a NaN defect, from U^†U overflowing, is not); ``defect``
+    skips the computation when the caller holds it."""
     if defect is None:
         defect = unitarity_defect(u)
-    if defect > tol.eps:
+    if not defect <= tol.eps:
         raise NonUnitaryError(f"{what} is not unitary: defect {defect:.3e}", defect)
     return defect
 

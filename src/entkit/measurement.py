@@ -69,10 +69,13 @@ def validate_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, dict]:
     return all(v <= tol.eps for v in report.values()), report
 
 
-def require_valid_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> None:
-    ok, report = validate_povm(e, tol)
-    if not ok:
-        raise InvalidPOVMError(f"invalid POVM: {report}", report)
+def require_valid_povm(e: POVM, tol: Tolerance = DEFAULT_TOL, report: dict | None = None) -> None:
+    """InvalidPOVMError unless every entry of validate_povm's report is within
+    tol.eps; ``report`` skips the validation when the caller holds it."""
+    if report is None:
+        report = validate_povm(e, tol)[1]
+    if not all(v <= tol.eps for v in report.values()):
+        raise InvalidPOVMError(f"invalid POVM: {report}", dict(report))
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,11 @@ class MeasurementScheme:
         return unitarity_defect(self.coupling)
 
     @cached_property
+    def pointer_report(self) -> dict:
+        """validate_povm's report on the pointer; its entries do not depend on tol."""
+        return validate_povm(self.pointer)[1]
+
+    @cached_property
     def slice_map(self) -> np.ndarray:
         """B = U(I ⊗ φ0), (d1*d2) x d1: column i is U(e_i ⊗ φ0)."""
         b = slice_map(self.coupling, self.object_dim, self.probe_dim, self.probe_init)
@@ -120,7 +128,7 @@ class MeasurementScheme:
     def check(self, tol: Tolerance = DEFAULT_TOL) -> None:
         require_unitary(self.coupling, tol, "coupling", self.coupling_defect)
         require_unit(self.probe_init, tol, "probe_init")
-        require_valid_povm(self.pointer, tol)
+        require_valid_povm(self.pointer, tol, self.pointer_report)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from entkit.linalg import (
     slice_map,
     swap_unitary,
     tensor_product,
+    unitarity_defect,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -220,7 +223,7 @@ class TestSplitRankOne:
     def test_no_worse_than_svd_split(self, case):
         u, d1, d2 = NEAR_PRODUCTS[case]
         r = realign(u, d1, d2)
-        residual, v, w = classify._rank_one_fit(r, d1, d2)
+        residual, v, w = classify._rank_one_fit(r, d1, d2, np.inf)
         ref_v, ref_w = _svd_split(r, d1, d2)
         err = np.linalg.norm(u - np.kron(v, w))
         ref = np.linalg.norm(u - np.kron(ref_v, ref_w))
@@ -228,6 +231,31 @@ class TestSplitRankOne:
         # The certificate is the reconstruction error, not a cancelling
         # difference of squared norms.
         assert abs(residual - err) <= 1e-15 + 1e-6 * err, (residual, err)
+
+    @pytest.mark.parametrize("case", sorted(NEAR_PRODUCTS))
+    def test_margin_does_not_change_a_passing_fit(self, case):
+        # The early exit never rejects a fit whose residual is within the
+        # margin, even a margin equal to the residual, and changes no bit.
+        u, d1, d2 = NEAR_PRODUCTS[case]
+        r = realign(u, d1, d2)
+        free = classify._rank_one_fit(r, d1, d2, np.inf)
+        tight = classify._rank_one_fit(r, d1, d2, free[0])
+        assert tight[0] == free[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(tight[1:], free[1:]))
+        assert classify._rank_one_fit(r, d1, d2, free[0] * (1 - 1e-3)) is None
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_failing_fit_stops_before_the_outer_product(self, monkeypatch, d):
+        norms = []
+        monkeypatch.setattr(classify, "frobenius", lambda a: norms.append(a.shape) or 1.0)
+        r = realign(haar_unitary(d * d, 30 + d), d, d)
+        assert classify._rank_one_fit(r, d, d, 10 * DEFAULT_TOL.eps) is None
+        assert norms == []
+
+    def test_zero_power_step_fails(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify._rank_one_fit(np.zeros((9, 9), complex), 3, 3, np.inf) is None
 
 
 class TestDecompositionCounts:
@@ -323,9 +351,102 @@ class TestCertificates:
         # The one reshuffle of U reads the same entries as R(U·SWAP).
         u, _, _ = dressed_swap(3, 6)
         form = classify_unitary(u, 3, 3)
-        _, v, w = classify._rank_one_fit(realign(classify._swap_columns(u, 3), 3, 3), 3, 3)
+        _, v, w = classify._rank_one_fit(realign(classify._swap_columns(u, 3), 3, 3), 3, 3, np.inf)
         v, w = classify._fix_phase(v, w, DEFAULT_TOL)
         assert form.v21.tobytes() == v.tobytes() and form.w12.tobytes() == w.tobytes()
+
+
+def _perturbed_forms():
+    """Haar products and dressed swaps, exact and with entries or factors
+    perturbed by 1e-12 ... 1e-6, as (label, u, d1, d2)."""
+    cases = []
+    for d1, d2 in ((2, 2), (2, 3), (3, 2), (4, 4), (8, 8), (5, 3), (16, 16)):
+        cases.append((f"product:{d1}x{d2}", *haar_product(d1, d2, d1 * d2 + 3), d1, d2))
+    for d in (2, 3, 4, 8, 16):
+        cases.append((f"dressed-swap:{d}", *dressed_swap(d, d + 5), d, d))
+    out = []
+    for label, u, v, w, d1, d2 in cases:
+        out.append((label, u, d1, d2))
+        dim = d1 * d2
+        rng = rng_from_seed(dim)
+        for delta in (1e-12, 1e-9, 1e-6):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            out.append((f"{label}:entries:{delta:g}", u + delta * g, d1, d2))
+            gv = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+            factors = np.kron(v + delta * gv, w)
+            if label.startswith("dressed-swap"):
+                factors = classify._swap_columns(factors, d1)
+            out.append((f"{label}:factor:{delta:g}", factors, d1, d2))
+    return out
+
+
+class TestUnitarityBound:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_forms_run_no_full_check(self, unitarity_checks, d):
+        product, swap = haar_product(d, d, d)[0], dressed_swap(d, d)[0]
+        assert isinstance(classify_unitary(product, d, d), Product)
+        assert isinstance(classify_unitary(swap, d, d), SwapForm)
+        assert isinstance(classify_unitary(haar_product(d, 3, d)[0], d, 3), Product)
+        assert unitarity_checks == []
+
+    @pytest.mark.parametrize(
+        "u, d1, d2",
+        [(haar_unitary(9, 7), 3, 3), (cnot(), 2, 2), (controlled_phase(np.pi / 3, 3, 2), 3, 2)],
+        ids=["haar", "cnot", "cphase-3x2"],
+    )
+    def test_entangling_runs_one_full_check(self, unitarity_checks, u, d1, d2):
+        assert classify_unitary(u, d1, d2).verdict == "entangling"
+        assert unitarity_checks == [(d1 * d2, d1 * d2)]
+
+    @pytest.mark.parametrize(
+        "u",
+        [np.diag([1.0, 2.0, 1.0, 1.0, 1.0, 1.0]), 2 * haar_product(2, 3, 4)[0], np.zeros((6, 6))],
+        ids=["diag-2", "twice-product", "zero"],
+    )
+    def test_non_unitary_runs_one_full_check(self, unitarity_checks, u):
+        with pytest.raises(NonUnitaryError):
+            classify_unitary(u, 2, 3)
+        assert unitarity_checks == [(6, 6)]
+
+    @pytest.mark.parametrize("case", _perturbed_forms(), ids=lambda c: c[0])
+    def test_bound_covers_the_defect(self, case):
+        _, u, d1, d2 = case
+        form = classify._fit_form(u, d1, d2, Tolerance(1e-3))
+        assert isinstance(form, Product if "product" in case[0] else SwapForm)
+        assert classify._unitarity_bound(form) >= unitarity_defect(u)
+
+    def test_bound_above_tol_falls_back_to_the_full_check(self, unitarity_checks):
+        # U0·exp(iδH) is unitary, and within the margin of a product, but its
+        # residual is too large for the bound to certify that at tol.
+        u = haar_product(3, 3, 7)[0] @ exp_i_hermitian(random_hermitian(9, 8), 1e-9)
+        fitted = classify._fit_form(u, 3, 3, DEFAULT_TOL)
+        assert fitted.residual <= 10 * DEFAULT_TOL.eps
+        assert classify._unitarity_bound(fitted) > DEFAULT_TOL.eps > unitarity_defect(u)
+        unitarity_checks.clear()
+        form = classify_unitary(u, 3, 3)
+        assert unitarity_checks == [(9, 9)]
+        assert isinstance(form, Product) and form.residual == fitted.residual
+        assert form.v.tobytes() == fitted.v.tobytes() and form.w.tobytes() == fitted.w.tobytes()
+
+    @pytest.mark.parametrize(
+        "u, d, eps",
+        [
+            (np.zeros((9, 9)), 3, 1e-9),
+            (2 * haar_product(3, 3, 4)[0], 3, 1e-9),
+            ((1 + 2e-9) * haar_product(3, 3, 4)[0], 3, 1e-9),
+            (np.ones((9, 9)), 3, 1e-9),
+            (np.full((4, 4), 2.0), 2, 0.05),
+        ],
+        ids=["zero", "twice-product", "scaled-product", "all-ones", "all-twos"],
+    )
+    def test_degenerate_inputs_raise_the_full_check_error(self, u, d, eps):
+        # Inputs the fits now see before unitarity is known: the fits fail or
+        # their bound does, and the full check's error comes out, warning-free.
+        message = f"input is not unitary: defect {unitarity_defect(u):.3e}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUnitaryError, match=f"^{re.escape(message)}$"):
+                classify_unitary(u, d, d, Tolerance(eps))
 
 
 class TestResidualField:

@@ -206,6 +206,19 @@ class TestMeasureCommand:
         assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 0
         assert unitarity_checks == [(4, 4)]
 
+    def test_one_pointer_validation_per_run(self, tmp_path, capsys, monkeypatch):
+        import entkit.measurement
+
+        calls = []
+        validate = entkit.measurement.validate_povm
+        counted = lambda e, *args: calls.append(e.dim) or validate(e, *args)
+        monkeypatch.setattr(entkit.measurement, "validate_povm", counted)
+        run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
+        state = write_json(tmp_path / "plus.json", vector_to_json(_PLUS))
+        calls.clear()
+        assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 0
+        assert calls == [2]
+
     def test_swap_scheme_on_plus(self, tmp_path, capsys):
         assert run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")]) == 0
         plus = write_json(

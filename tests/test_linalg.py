@@ -151,6 +151,12 @@ class TestIsUnitary:
         with pytest.raises(NonUnitaryError, match="coupling is not unitary"):
             require_unitary(None, Tolerance(1e-5), "coupling", 1e-4)
 
+    def test_overflowing_defect_is_not_unitary(self):
+        # U^†U overflows to inf and nan entries; a NaN defect must not pass.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonUnitaryError, match="^input is not unitary: defect nan$"):
+                classify_unitary(1e200 * np.eye(9), 3, 3)
+
     @pytest.mark.parametrize("subject", ["input", "matrix", "coupling"])
     def test_every_check_keeps_its_subject(self, subject):
         u = swap_unitary(2) * 1.01

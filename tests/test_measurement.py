@@ -332,6 +332,17 @@ class TestSchemeValidation:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    def test_pointer_report_is_compared_to_each_tol(self):
+        # One cached report, independent of tol, decides check at every tol.
+        pointer = POVM(2, ("0", "1"), [np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])])
+        s = MeasurementScheme(2, 2, E2[0], swap_unitary(2), pointer)
+        assert s.pointer_report == validate_povm(pointer, Tolerance(1e-12))[1]
+        s.check(Tolerance(1e-6))
+        with pytest.raises(InvalidPOVMError, match="invalid POVM") as exc:
+            s.check(Tolerance(1e-9))
+        assert exc.value.report == s.pointer_report
+        assert str(exc.value) == f"invalid POVM: {validate_povm(pointer)[1]}"
+
     def test_one_unitarity_check_per_no_info_check(self, unitarity_checks):
         s = MeasurementScheme(2, 3, random_state(3, 4), haar_unitary(6, 5), random_povm(3, 2, 6))
         no_info_no_disturbance_check(s, seed=7)
