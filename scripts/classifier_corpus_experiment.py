@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
-"""Cross-validate the certificate classifier against the sampling oracle.
+"""Cross-validate the certificate classifier against the operator-entanglement oracle.
 
 Runs the full labeled corpus (products, dressed swaps, generics, diagonal
 couplings over several dimension pairs), compares the classifier verdict with
-the brute-force product-preservation oracle per family, and prints an
-agreement table with worst reconstruction errors.
+the closed-form oracle of ``verify.oracle_non_entangling`` per family, and
+prints an agreement table with worst reconstruction errors.
 """
 
 import argparse
 import collections
 import time
 
-from entkit.classify import Product, SwapForm, brute_force_non_entangling, classify_unitary, reconstruction_error
+from entkit.classify import Product, SwapForm, classify_unitary, reconstruction_error
 from entkit.linalg import DEFAULT_SEED, DEFAULT_TOL, split_seed
-from entkit.verify import classifier_corpus
+from entkit.verify import classifier_corpus, oracle_non_entangling
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--samples", type=int, default=40, help="oracle sample count")
     args = parser.parse_args()
 
     stats = collections.defaultdict(lambda: {"n": 0, "agree": 0, "worst_rec": 0.0})
@@ -27,9 +26,7 @@ def main():
     for label, d1, d2, u in classifier_corpus(args.seed):
         family = label.split(":", 1)[0]
         form = classify_unitary(u, d1, d2, DEFAULT_TOL, split_seed(args.seed, label))
-        oracle, _ = brute_force_non_entangling(
-            u, d1, d2, DEFAULT_TOL, split_seed(args.seed, "bf-" + label), args.samples
-        )
+        oracle = oracle_non_entangling(u, d1, d2, DEFAULT_TOL)
         entry = stats[family]
         entry["n"] += 1
         entry["agree"] += isinstance(form, (Product, SwapForm)) == oracle

@@ -8,7 +8,7 @@ that must build up along any continuous path reaching a swap coupling.
 
 # The single version string: pyproject reads it, and reports embed it. It
 # is bumped whenever reports for a given seed can change.
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .bipartite import (
     BipartiteSpace,
@@ -33,9 +33,9 @@ from .classify import (
     SliceForm,
     SwapForm,
     TransferToProbe,
-    brute_force_non_entangling,
     classify_slice,
     classify_unitary,
+    operator_entanglement,
     operator_schmidt_rank,
     realign,
 )

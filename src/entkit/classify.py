@@ -125,21 +125,13 @@ def _check_shape(u: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return u
 
 
-def _check_bipartite_unitary(u: np.ndarray, d1: int, d2: int, tol: Tolerance) -> np.ndarray:
-    u = _check_shape(u, d1, d2)
-    require_unitary(u, tol, "input")
-    return u
-
-
 def realign(u: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """Operator-Schmidt reshuffle: R[(i,k), (j,l)] = U[(i,j), (k,l)].
 
     A product operator V ⊗ W realigns to the rank-1 matrix vec(V) vec(W)^T.
     Linear and invertible.
     """
-    u = as_matrix(u)
-    if u.shape != (d1 * d2, d1 * d2):
-        raise DimensionError(f"matrix shape {u.shape} != ({d1 * d2}, {d1 * d2})")
+    u = _check_shape(u, d1, d2)
     return u.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
 
 
@@ -149,6 +141,20 @@ def operator_schmidt_rank(
     """Rank of the realignment; singular values count when > tol.eps * sigma_max."""
     s = np.linalg.svd(realign(u, d1, d2), compute_uv=False)
     return int(np.count_nonzero(s > tol.eps * s[0]))
+
+
+def operator_entanglement(u: np.ndarray, d1: int, d2: int) -> float:
+    """Operator entanglement (Zanardi, Zalka, Faoro, quant-ph/0005031) scaled
+    by n², not D², so that scaling u leaves it alone: E = 1 - ||G||_F² / n²,
+    G the smaller of R^†R and RR^† for R = realign(u), n = tr G. It is
+    1 - sum s⁴ / (sum s²)² over R's singular values: 0 exactly when u = V ⊗ W.
+    ValueError for the zero matrix."""
+    r = realign(u, d1, d2)
+    g = r.conj().T @ r if d2 <= d1 else r @ r.conj().T
+    n = g.trace().real
+    if not n > 0:
+        raise ValueError("operator entanglement is undefined for the zero matrix")
+    return 1.0 - np.vdot(g, g).real / (n * n)
 
 
 def witness_margin(tol: Tolerance) -> float:
@@ -385,7 +391,9 @@ def classify_unitary(
     """
     witness_margin(tol)
     u = _check_shape(u, d1, d2)
-    form = _fit_form(u, d1, d2, tol)
+    # Overflowing entries fail the fits silently; require_unitary refuses u.
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _fit_form(u, d1, d2, tol)
     if form is None:
         require_unitary(u, tol, "input")
         return _entangling(u, d1, d2, tol, seed)
@@ -402,28 +410,6 @@ def reconstruction_error(form: NonEntanglingForm, u: np.ndarray) -> float:
     if isinstance(form, SwapForm):
         return frobenius(u - _swap_columns(tensor_product(form.v21, form.w12), form.v21.shape[0]))
     return float("nan")
-
-
-def brute_force_non_entangling(
-    u: np.ndarray,
-    d1: int,
-    d2: int,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    n_samples: int = 200,
-) -> tuple[bool, PureState | None]:
-    """Sampling oracle: do all probed product inputs map to product images?
-
-    Probes the full superposition grid (e_i + e_j) ⊗ (f_k + f_l), normalized,
-    plus n_samples seeded random product inputs. Returns (False, first
-    counterexample input) as soon as an image has Schmidt rank >= 2 within
-    tol.
-    """
-    u = _check_bipartite_unitary(u, d1, d2, tol)
-    hit = _find_witness(u, d1, d2, tol.eps, seed, n_samples)
-    if hit is None:
-        return True, None
-    return False, product_state(hit[0], hit[1])
 
 
 def _hypothesis_error(indices: tuple[int, ...]) -> SliceHypothesisError:
@@ -459,7 +445,8 @@ def classify_slice(
     V^†V - I = (B^†B - I) - R^†R (W12 alike); B^†B - I is a compression of
     U^†U - I, so ||V^†V - I||_F <= defect + ||R||_F^2.
     """
-    u = _check_bipartite_unitary(u, d1, d2, tol)
+    u = _check_shape(u, d1, d2)
+    require_unitary(u, tol, "input")
     phi0 = as_vector(phi0)
     if phi0.size != d2:
         raise DimensionError(f"phi0 has dimension {phi0.size}, probe space needs {d2}")

@@ -106,12 +106,14 @@ def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """||U^†U - I||_F of a square U; equal to ||UU^† - I||_F, since both
-    are the norm of sigma_k^2 - 1 over the singular values of U."""
+    """||U^†U - I||_F of a square U, or inf or NaN, silently, if U^†U
+    overflows; equal to ||UU^† - I||_F, since both are the norm of
+    sigma_k^2 - 1 over the singular values of U."""
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise DimensionError(f"unitarity is defined for square matrices, got {u.shape}")
-    return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def require_unitary(u: np.ndarray, tol: Tolerance, what: str, defect: float | None = None) -> float:

@@ -14,9 +14,9 @@ from entkit.classify import (
     Product,
     SwapForm,
     TransferToProbe,
-    brute_force_non_entangling,
     classify_slice,
     classify_unitary,
+    operator_entanglement,
     operator_schmidt_rank,
     realign,
     reconstruction_error,
@@ -46,12 +46,14 @@ from entkit.linalg import (
     probe_states,
     random_hermitian,
     random_state,
+    require_unitary,
     rng_from_seed,
     slice_map,
     swap_unitary,
     tensor_product,
     unitarity_defect,
 )
+from entkit.verify import oracle_non_entangling
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 E2 = np.eye(2)
@@ -598,7 +600,8 @@ def _vote_classify_slice(u, d1, d2, phi0, tol):
     factors, then checks pairs and the isometry as classify_slice did before
     0.10.0. Its forms carry a NaN residual: only their outcome is compared.
     """
-    u = classify._check_bipartite_unitary(u, d1, d2, tol)
+    u = classify._check_shape(u, d1, d2)
+    require_unitary(u, tol, "input")
     space = BipartiteSpace(d1, d2)
     b = slice_map(u, d1, d2, phi0)
 
@@ -811,21 +814,42 @@ class TestSliceCertificate:
         assert abs(form.residual - 8.485e-4) < 1e-7
 
 
-class TestBruteForce:
-    def test_identity(self):
-        ok, witness = brute_force_non_entangling(np.eye(4), 2, 2)
-        assert ok and witness is None
+def _oracle_threshold(dim, tol=DEFAULT_TOL):
+    """θ of verify.oracle_non_entangling, restated: 2m²/D + (m²/D)² + 8·D·ε."""
+    q = (10 * tol.eps) ** 2 / dim
+    return 2 * q + q * q + 8 * dim * np.finfo(float).eps
 
-    def test_cnot_grid_counterexample(self):
-        ok, witness = brute_force_non_entangling(cnot(), 2, 2)
-        assert not ok
-        image = PureState(BipartiteSpace(2, 2), cnot() @ witness.vec)
-        assert schmidt_rank(image) >= 2
 
-    def test_haar_product_500_samples(self):
-        u, _, _ = haar_product(2, 2, 8)
-        ok, _ = brute_force_non_entangling(u, 2, 2, n_samples=500)
-        assert ok
+class TestOperatorEntanglement:
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (4, 4), (2, 3), (4, 2)])
+    def test_identity_and_products_within_threshold(self, d1, d2):
+        theta = _oracle_threshold(d1 * d2)
+        assert operator_entanglement(np.eye(d1 * d2), d1, d2) <= theta
+        for seed in range(5):
+            u, _, _ = haar_product(d1, d2, seed)
+            assert operator_entanglement(u, d1, d2) <= theta
+
+    def test_cnot_is_one_half(self):
+        assert operator_entanglement(cnot(), 2, 2) == 0.5
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_swap(self, d):
+        assert operator_entanglement(swap_unitary(d), d, d) == pytest.approx(1 - 1 / d**2, rel=1e-15)
+
+    def test_scale_invariant(self):
+        assert operator_entanglement(2 * cnot(), 2, 2) == operator_entanglement(cnot(), 2, 2)
+
+    def test_zero_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="zero matrix"):
+            operator_entanglement(np.zeros((4, 4)), 2, 2)
+
+    def test_oracle_runs_no_witness_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle ran the witness search")
+
+        monkeypatch.setattr(classify, "_find_witness", refuse)
+        assert not oracle_non_entangling(cnot(), 2, 2, DEFAULT_TOL)
+        assert oracle_non_entangling(swap_unitary(3), 3, 3, DEFAULT_TOL)
 
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -838,8 +862,7 @@ class TestBruteForce:
         else:
             u = haar_unitary(d1 * d2, seed)
         form = classify_unitary(u, d1, d2, seed=seed)
-        ok, _ = brute_force_non_entangling(u, d1, d2, seed=seed, n_samples=60)
-        assert isinstance(form, (Product, SwapForm)) == ok
+        assert isinstance(form, (Product, SwapForm)) == oracle_non_entangling(u, d1, d2, DEFAULT_TOL)
 
 
 class TestEqualDimensionConstraint:

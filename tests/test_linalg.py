@@ -1,11 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from entkit.classify import classify_unitary
+from entkit.classify import classify_slice, classify_unitary
+from entkit.dynamics import geodesic_path
 from entkit.errors import DimensionError, NonUnitaryError
 from entkit.fixtures import projective_povm
 from entkit.linalg import (
@@ -152,10 +154,21 @@ class TestIsUnitary:
             require_unitary(None, Tolerance(1e-5), "coupling", 1e-4)
 
     def test_overflowing_defect_is_not_unitary(self):
-        # U^†U overflows to inf and nan entries; a NaN defect must not pass.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonUnitaryError, match="^input is not unitary: defect nan$"):
-                classify_unitary(1e200 * np.eye(9), 3, 3)
+        # U^†U overflows to inf and nan entries; a NaN defect must not pass,
+        # and each entry point refuses such a U without a numpy warning. One
+        # loop over the four callers, so the test keeps its one name.
+        big = 1e200 * np.eye(4)
+        runs = [
+            ("input", lambda: classify_unitary(1e200 * np.eye(9), 3, 3)),
+            ("input", lambda: classify_slice(big, 2, 2, E2[0])),
+            ("matrix", lambda: geodesic_path(big, 2, 2)),
+            ("coupling", lambda: MeasurementScheme(2, 2, E2[0], big, projective_povm(2)).check()),
+        ]
+        for subject, run in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonUnitaryError, match=f"^{subject} is not unitary: defect nan$"):
+                    run()
 
     @pytest.mark.parametrize("subject", ["input", "matrix", "coupling"])
     def test_every_check_keeps_its_subject(self, subject):
