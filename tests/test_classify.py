@@ -820,6 +820,30 @@ def _oracle_threshold(dim, tol=DEFAULT_TOL):
     return 2 * q + q * q + 8 * dim * np.finfo(float).eps
 
 
+def _sampled_images_are_product(u, d1, d2, n_samples, seed):
+    """Brute force, sharing no code with the classifier or the oracle: the image
+    of every sampled product input has second Schmidt coefficient <= 1e-12."""
+    rng = rng_from_seed(seed)
+    a = rng.standard_normal((n_samples, d1)) + 1j * rng.standard_normal((n_samples, d1))
+    b = rng.standard_normal((n_samples, d2)) + 1j * rng.standard_normal((n_samples, d2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    images = np.einsum("kl,nl->nk", u, np.einsum("ni,nj->nij", a, b).reshape(n_samples, -1))
+    return np.linalg.svd(images.reshape(n_samples, d1, d2), compute_uv=False)[:, 1].max() <= 1e-12
+
+
+class TestBruteForce:
+    def test_identity(self):
+        assert _sampled_images_are_product(np.eye(4), 2, 2, 100, 0)
+        assert oracle_non_entangling(np.eye(4), 2, 2, DEFAULT_TOL)
+
+    def test_haar_product_500_samples(self):
+        u, _, _ = haar_product(2, 2, 8)
+        assert _sampled_images_are_product(u, 2, 2, 500, 8)
+        assert oracle_non_entangling(u, 2, 2, DEFAULT_TOL)
+        assert not _sampled_images_are_product(cnot(), 2, 2, 500, 8)
+
+
 class TestOperatorEntanglement:
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (4, 4), (2, 3), (4, 2)])
     def test_identity_and_products_within_threshold(self, d1, d2):
