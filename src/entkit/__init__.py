@@ -8,7 +8,7 @@ that must build up along any continuous path reaching a swap coupling.
 
 # The single version string: pyproject reads it, and reports embed it. It
 # is bumped whenever reports for a given seed can change.
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .bipartite import (
     BipartiteSpace,

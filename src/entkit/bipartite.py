@@ -180,9 +180,10 @@ def partial_trace(
     return DensityOperator(space.d2, np.einsum("ijil->jl", t))
 
 
-def entanglement_entropies(space: BipartiteSpace, vecs: np.ndarray) -> np.ndarray:
-    """Entanglement entropy in bits of each row of vecs, an (n, space.dim)
-    stack of pure-state vectors; +0.0 on products.
+def schmidt_coefficients(space: BipartiteSpace, vecs: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients, descending, of each row of vecs, an (n, space.dim)
+    stack of pure-state vectors, as the (n, min(d1, d2)) result of one
+    stacked SVD.
 
     Every row must pass PureState's check, ||v|| within 1e-6 of 1, else
     NormalizationError; a row with a non-finite entry fails it too.
@@ -196,11 +197,23 @@ def entanglement_entropies(space: BipartiteSpace, vecs: np.ndarray) -> np.ndarra
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))
     if bad.size:
         raise NormalizationError(f"state {bad[0]} has norm {norms[bad[0]]}, not 1")
-    s = np.linalg.svd(vecs.reshape(-1, space.d1, space.d2), compute_uv=False)
+    return np.linalg.svd(vecs.reshape(-1, space.d1, space.d2), compute_uv=False)
+
+
+def _entropy_bits(s: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the squared rows of a Schmidt coefficient stack;
+    +0.0 on products."""
     p = s * s
     log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
     # 0.0 - x, not -x: an exact product gives +0.0 rather than -0.0.
     return 0.0 - (p * log_p).sum(axis=1)
+
+
+def entanglement_entropies(space: BipartiteSpace, vecs: np.ndarray) -> np.ndarray:
+    """Entanglement entropy in bits of each row of vecs, an (n, space.dim)
+    stack of pure-state vectors, from schmidt_coefficients and its checks;
+    +0.0 on products."""
+    return _entropy_bits(schmidt_coefficients(space, vecs))
 
 
 def entanglement_entropy(psi: PureState) -> float:

@@ -10,10 +10,11 @@ through product-form unitaries alone, so interior points must entangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, PureState, entanglement_entropies
+from .bipartite import BipartiteSpace, PureState, _entropy_bits, schmidt_coefficients
 from .classify import _classify, witness_margin
 from .errors import DimensionError, NonUnitaryError
 from .linalg import (
@@ -69,8 +70,10 @@ def path_from_generator(h: np.ndarray, d1: int, d2: int) -> UnitaryPath:
 
 
 def path_point(p: UnitaryPath, t: float) -> np.ndarray:
-    """V e^{it·phases} V^†; exactly the identity at t == 0. A generator path
-    is bit-identical to exp_i_hermitian(H, t), since both run the same eigh."""
+    """V e^{it·phases} V^†, one D³ matmul; exactly the identity at t == 0. A
+    generator path is bit-identical to exp_i_hermitian(H, t), since both run
+    the same eigh. entanglement_profile forms it only at grid points whose
+    verdict needs a form fitted."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter {t} outside [0, 1]")
     if t == 0.0:
@@ -115,6 +118,24 @@ def profile_inputs(
     return labels, (left[:, :, None] * right[:, None, :]).reshape(len(labels), d1 * d2)
 
 
+def _grid_images(p: UnitaryPath, vecs: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
+    """U_t x for each row x of vecs at t = k / n_steps, k = 0..n_steps,
+    without forming U_t. At t = 0 the images are vecs itself, as path_point's
+    exact identity gives. With coords = vecs conj(V) (the rows V^† x) formed
+    once, the images at t > 0 are (coords * e^{itw}) V^T: one n×D×D gemm.
+
+    Rounding: each of the two products sums D terms, so it is off by at most
+    γ_D = Dε/(1 - Dε) of the sum of the terms' moduli. With ||V||_F² <=
+    D(1 + δ), δ the defect that entanglement_profile bounds, an image is
+    within about 2·D^{3/2}·ε of V e^{itw} V^† x in norm (1.5e-11 at d = 32),
+    as U_t x is when U_t comes from path_point.
+    """
+    yield vecs
+    coords = vecs @ p.vectors.conj()
+    for k in range(1, n_steps + 1):
+        yield (coords * np.exp(1j * (k / n_steps) * p.phases)) @ p.vectors.T
+
+
 def entanglement_profile(
     p: UnitaryPath,
     probe_init: np.ndarray,
@@ -127,13 +148,30 @@ def entanglement_profile(
 
     The grid has n_steps uniform intervals (n_steps + 1 points, including
     t = 0, 1/2 for even n_steps, and 1 exactly). At each grid point the
-    maximum output entanglement entropy over a deterministic input family
-    plus seeded random product inputs is recorded, together with the
-    verdict of U_t; a tol too loose for classify_unitary raises ValueError.
+    images of the profile_inputs family (a deterministic grid plus seeded
+    random products) come from _grid_images, and their Schmidt coefficients
+    from one stacked SVD. The point records the largest output entropy, the
+    first input whose entropy is within tol.eps of it (entropies that tie up
+    to rounding then pick a stable input), and the verdict of U_t.
+
+    The verdict is "entangling" as soon as some input's second Schmidt
+    coefficient exceeds m = 10 * tol.eps, and nothing else runs at that
+    point. This is classify_unitary's exclusivity argument: a product or
+    swap form within residual r <= m maps every unit product to a vector
+    whose second coefficient is <= r (singular values move by at most the
+    norm of a perturbation, Weyl), so an input above m excludes both forms.
+    The argument holds for the exact U_t; the images and path_point's U_t
+    each carry the rounding that _grid_images states, so the verdict can
+    differ from _classify(path_point(p, t), ...) only where an input's
+    coefficient and a form's residual both lie that close to m. Otherwise,
+    and always when d1 or d2 is 1, path_point(p, t) is formed and _classify
+    decides, seeded split_seed(seed, f"verdict-{k}"); it raises
+    WitnessSearchError when it finds neither form nor witness. A tol too
+    loose for classify_unitary raises ValueError.
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps, got {n_steps}")
-    witness_margin(tol)
+    margin = witness_margin(tol)
     probe_init = as_vector(probe_init)
     d1, d2 = p.space.d1, p.space.d2
     if probe_init.size != d2:
@@ -148,15 +186,18 @@ def entanglement_profile(
         raise NonUnitaryError(f"path is not unitary: defect bound {bound:.3e}", bound)
     labels, vecs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     points = []
-    for k in range(n_steps + 1):
+    for k, images in enumerate(_grid_images(p, vecs, n_steps)):
         t = k / n_steps
-        u_t = path_point(p, t)
-        entropies = entanglement_entropies(p.space, vecs @ u_t.T)
-        # argmax takes the first maximum, as a strict > scan over the inputs would.
-        best = int(np.argmax(entropies))
-        form = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}"))
-        point = ProfilePoint(t, float(entropies[best]), labels[best], vecs[best], form.verdict)
-        points.append(point)
+        s = schmidt_coefficients(p.space, images)
+        entropies = _entropy_bits(s)
+        top = entropies.max()
+        best = int(np.argmax(entropies >= top - tol.eps))
+        if min(d1, d2) > 1 and s[:, 1].max() > margin:
+            verdict = "entangling"
+        else:
+            u_t = path_point(p, t)
+            verdict = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}")).verdict
+        points.append(ProfilePoint(t, float(top), labels[best], vecs[best], verdict))
     return EntanglementProfile(p.space, tuple(points))
 
 

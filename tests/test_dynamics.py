@@ -3,10 +3,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from entkit import dynamics
 from entkit.bipartite import BipartiteSpace, PureState, entanglement_entropy
-from entkit.classify import classify_unitary
+from entkit.classify import _classify, classify_unitary
 from entkit.dynamics import (
     UnitaryPath,
+    _grid_images,
     entanglement_profile,
     geodesic_path,
     max_path_entanglement,
@@ -17,8 +19,10 @@ from entkit.dynamics import (
 from entkit.errors import DimensionError, NonUnitaryError, NormalizationError
 from entkit.fixtures import cnot, dressed_swap, haar_product
 from entkit.linalg import (
+    DEFAULT_TOL,
     Tolerance,
     exp_i_hermitian,
+    haar_unitary,
     probe_states,
     random_hermitian,
     random_state,
@@ -310,6 +314,105 @@ class TestEntanglementProfile:
             return max(abs(ent[i + 1] - ent[i]) for i in range(len(ent) - 1))
 
         assert max_step(32) < max_step(16)
+
+
+def _local_path(d1, d2, seed, coupling=0.0):
+    """Path of A⊗I + I⊗B, plus a random Hermitian of norm ``coupling``."""
+    a = random_hermitian(d1, seed, scale=1.0)
+    b = random_hermitian(d2, seed + 1, scale=1.0)
+    h = tensor_product(a, np.eye(d2)) + tensor_product(np.eye(d1), b)
+    return path_from_generator(h + random_hermitian(d1 * d2, seed + 2, scale=coupling), d1, d2)
+
+
+HOISTING_PATHS = (
+    [pytest.param(lambda d=d: geodesic_path(swap_unitary(d), d, d), id=f"swap-{d}") for d in (2, 3, 4)]
+    + [
+        pytest.param(lambda d=d: geodesic_path(dressed_swap(d, 11)[0], d, d), id=f"dressed-swap-{d}")
+        for d in (2, 3)
+    ]
+    + [
+        pytest.param(lambda d=d: geodesic_path(haar_unitary(d * d, 21), d, d), id=f"haar-{d}x{d}")
+        for d in (2, 3)
+    ]
+    + [pytest.param(lambda: _local_path(2, 3, 31), id="local-2x3")]
+    + [pytest.param(lambda: _local_path(3, 2, 41), id="local-3x2")]
+    # Second Schmidt coefficients up to ~3e-10, below the margin 1e-8: the
+    # inputs witness nothing, and every point is a product within the margin.
+    + [pytest.param(lambda: _local_path(2, 3, 31, coupling=1e-9), id="near-local-2x3")]
+)
+
+
+class TestHoistedImages:
+    @pytest.mark.parametrize("make", HOISTING_PATHS)
+    def test_verdicts_match_classify_at_every_grid_point(self, make):
+        path = make()
+        d1, d2 = path.space.d1, path.space.d2
+        profile = entanglement_profile(path, random_state(d2, 5), n_steps=64, seed=9)
+        for k, pt in enumerate(profile.points):
+            form = _classify(path_point(path, pt.t), d1, d2, DEFAULT_TOL, split_seed(9, f"verdict-{k}"))
+            assert pt.verdict == form.verdict, (k, pt.t)
+
+    @pytest.mark.parametrize("make", HOISTING_PATHS)
+    def test_images_match_path_point(self, make):
+        path = make()
+        d1, d2 = path.space.d1, path.space.d2
+        _, vecs = profile_inputs(d1, d2, random_state(d2, 5), 9, 8)
+        images = list(_grid_images(path, vecs, 16))
+        assert len(images) == 17
+        assert np.array_equal(images[0], vecs)
+        for k in range(1, 17):
+            assert np.abs(images[k] - vecs @ path_point(path, k / 16).T).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "make, probe, expected",
+        [
+            pytest.param(
+                lambda: geodesic_path(swap_unitary(3), 3, 3), np.eye(3)[0],
+                [(0.0, "product"), (1.0, "swap")], id="swap-3",
+            ),
+            pytest.param(
+                lambda: _local_path(2, 3, 31), random_state(3, 5),
+                [(k / 64, "product") for k in range(65)], id="local-2x3",
+            ),
+            pytest.param(
+                lambda: path_from_generator(random_hermitian(3, 51), 1, 3), np.eye(3)[0],
+                [(k / 64, "product") for k in range(65)], id="factor-dim-1",
+            ),
+        ],
+    )
+    def test_forms_fitted_only_where_no_input_witnesses(self, monkeypatch, make, probe, expected):
+        path = make()
+        calls = []
+
+        def counted(name, record):
+            kernel = getattr(dynamics, name)
+
+            def wrapper(*args):
+                out = kernel(*args)
+                calls.append((name, record(args, out)))
+                return out
+
+            monkeypatch.setattr(dynamics, name, wrapper)
+
+        counted("path_point", lambda args, out: args[1])
+        counted("_classify", lambda args, out: out.verdict)
+        entanglement_profile(path, probe, n_steps=64)
+        assert calls == [
+            call for t, verdict in expected for call in (("path_point", t), ("_classify", verdict))
+        ]
+
+    def test_input_ids_stable_under_degenerate_eigenbasis_change(self):
+        path = geodesic_path(swap_unitary(3), 3, 3)
+        vectors = path.vectors.copy()
+        for phase in np.unique(np.round(path.phases, 12)):
+            cols = np.flatnonzero(np.abs(path.phases - phase) < 1e-12)
+            vectors[:, cols] = vectors[:, cols] @ haar_unitary(len(cols), 61)
+        rotated = UnitaryPath(path.phases, vectors, path.space)
+        a = entanglement_profile(path, np.eye(3)[0], n_steps=64, seed=9)
+        b = entanglement_profile(rotated, np.eye(3)[0], n_steps=64, seed=9)
+        for pa, pb in zip(a.points, b.points):
+            assert abs(pa.max_entropy_bits - pb.max_entropy_bits) <= 1e-13
+            assert (pa.maximizing_input_id, pa.verdict) == (pb.maximizing_input_id, pb.verdict)
 
 
 class TestMaxPathEntanglement:
