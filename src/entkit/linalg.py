@@ -13,7 +13,10 @@ import functools
 import zlib
 
 import numpy as np
-import scipy.linalg
+
+# Loaded, never called: entkit's kernels all run on numpy's BLAS, so one
+# thread pool works; bench/spans.py wraps scipy.linalg's kernels by module.
+import scipy.linalg  # noqa: F401
 
 from .errors import DimensionError, NonUnitaryError, NormalizationError
 
@@ -133,14 +136,29 @@ def slice_map(u: np.ndarray, d1: int, d2: int, phi0: np.ndarray) -> np.ndarray:
 
 
 def unitary_eig(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, z) with u == z diag(e^{i theta}) z^†, from one Schur decomposition
-    after the unitarity check. Phases are in (-pi, pi], -1 mapped to +pi; those
-    within 1e-12 of the cut are folded onto +pi, so -1 is stable under rounding.
-    Degenerate eigenspaces get the (deterministic per build) Schur basis."""
+    """(theta, z) with u == z diag(e^{i theta}) z^†, after the unitarity check.
+    Phases are in (-pi, pi], -1 mapped to +pi; those within 1e-12 of the cut
+    are folded onto +pi, so -1 is stable under rounding.
+
+    numpy alone, so a process runs one BLAS thread pool. The eigenvalues of
+    the Hermitian part, cos(theta), place the widest arc of the unit circle
+    that holds no eigenvalue (it spans at least pi/(D + 1)); w = e^{i phi} u
+    turns its centre onto -1. z is eigh's orthonormal eigenbasis of the
+    Cayley transform i (I + w)^{-1} (I - w), Hermitian with eigenvalues
+    tan((theta + phi)/2), whose solve is conditioned by 1/sin(arc/4) at
+    worst. theta is read off u's own Rayleigh quotients z_j^† u z_j.
+    Degenerate eigenspaces get eigh's (deterministic per build) basis."""
     u = as_matrix(u)
     require_unitary(u, tol, "matrix")
-    t, z = scipy.linalg.schur(u, output="complex")
-    theta = np.angle(np.diagonal(t))
+    # |theta| in [0, pi], each end mirrored: gaps are the empty arcs' widths.
+    folded = np.arccos(np.clip(np.linalg.eigvalsh((u + u.conj().T) / 2), -1.0, 1.0))[::-1]
+    ends = np.concatenate([-folded[:1], folded, 2 * np.pi - folded[-1:]])
+    j = int(np.argmax(np.diff(ends)))
+    w = u * np.exp(1j * (np.pi - (ends[j] + ends[j + 1]) / 2))
+    eye = np.eye(u.shape[0])
+    k = 1j * np.linalg.solve(eye + w, eye - w)
+    _, z = np.linalg.eigh((k + k.conj().T) / 2)
+    theta = np.angle(np.einsum("ij,ij->j", z.conj(), u @ z))
     return np.where(theta <= -np.pi + 1e-12, theta + 2 * np.pi, theta), z
 
 
