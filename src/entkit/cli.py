@@ -204,7 +204,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    # A tol no witness can beat is refused before the endpoint's Schur form.
+    # A tol no witness can beat is refused before the endpoint's eigendecomposition.
     witness_margin(args.tol)
     d1, d2 = args.dims
     u = _load(args.input, matrix_from_json, "matrix")

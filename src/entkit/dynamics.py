@@ -55,7 +55,8 @@ class UnitaryPath:
 def geodesic_path(
     endpoint: np.ndarray, d1: int, d2: int, tol: Tolerance = DEFAULT_TOL
 ) -> UnitaryPath:
-    """Path of the endpoint's principal-branch logarithm, read off its Schur form."""
+    """Path of the endpoint's principal-branch logarithm, (phases, vectors) from
+    linalg.unitary_eig."""
     space = BipartiteSpace(d1, d2)
     endpoint = as_matrix(endpoint)
     if endpoint.shape != (space.dim, space.dim):
@@ -118,11 +119,20 @@ def profile_inputs(
     return labels, (left[:, :, None] * right[:, None, :]).reshape(len(labels), d1 * d2)
 
 
+# Entries of one block of grid images: up to this many (at least one grid
+# point's worth) come from a single gemm.
+_IMAGE_BLOCK = 1 << 17
+
+
 def _grid_images(p: UnitaryPath, vecs: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
     """U_t x for each row x of vecs at t = k / n_steps, k = 0..n_steps,
     without forming U_t. At t = 0 the images are vecs itself, as path_point's
     exact identity gives. With coords = vecs conj(V) (the rows V^† x) formed
-    once, the images at t > 0 are (coords * e^{itw}) V^T: one n×D×D gemm.
+    once, the images at t > 0 are (coords * e^{itw}) V^T, stacked over as
+    many grid points as fit in _IMAGE_BLOCK entries: one gemm per block, not
+    one per point, so a BLAS thread pool is woken a few times per profile
+    rather than n_steps times, and a busy machine delays it less often. Each
+    image is the row a per-point gemm would form.
 
     Rounding: each of the two products sums D terms, so it is off by at most
     γ_D = Dε/(1 - Dε) of the sum of the terms' moduli. With ||V||_F² <=
@@ -132,8 +142,12 @@ def _grid_images(p: UnitaryPath, vecs: np.ndarray, n_steps: int) -> Iterator[np.
     """
     yield vecs
     coords = vecs @ p.vectors.conj()
-    for k in range(1, n_steps + 1):
-        yield (coords * np.exp(1j * (k / n_steps) * p.phases)) @ p.vectors.T
+    n, dim = coords.shape
+    block = max(1, _IMAGE_BLOCK // coords.size)
+    for k in range(1, n_steps + 1, block):
+        t = np.arange(k, min(k + block, n_steps + 1)) / n_steps
+        images = (coords * np.exp(1j * t[:, None, None] * p.phases)).reshape(-1, dim) @ p.vectors.T
+        yield from images.reshape(len(t), n, dim)
 
 
 def entanglement_profile(

@@ -309,7 +309,7 @@ class TestPathCommand:
         assert run_cli(args + ["--tol", "1e-6"]) == 0
 
     def test_one_unitarity_check_per_path(self, tmp_path, capsys, unitarity_checks):
-        # The endpoint's, before its Schur decomposition, and the path's eigenvectors',
+        # The endpoint's, before its eigendecomposition, and the path's eigenvectors',
         # which bound every grid point's defect.
         path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         unitarity_checks.clear()
@@ -444,7 +444,7 @@ class TestFlagContract:
         args = ["verify"] if command == "verify" else [command, path, "--dims", "2", "2"]
         assert run_cli(args + ["--tol", "0.1"]) == 2
         assert "tol must be below 0.0707" in capsys.readouterr().err
-        # Refused before any work: no unitarity check, so no Schur decomposition either.
+        # Refused before any work: no unitarity check, so no eigendecomposition either.
         assert unitarity_checks == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

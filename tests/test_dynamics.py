@@ -362,6 +362,16 @@ class TestHoistedImages:
         for k in range(1, 17):
             assert np.abs(images[k] - vecs @ path_point(path, k / 16).T).max() <= 1e-13
 
+    @pytest.mark.parametrize("per_block", [1, 3, 16])
+    def test_blocks_cover_every_grid_point(self, monkeypatch, per_block):
+        path = geodesic_path(dressed_swap(3, 11)[0], 3, 3)
+        _, vecs = profile_inputs(3, 3, random_state(3, 5), 9, 8)
+        monkeypatch.setattr(dynamics, "_IMAGE_BLOCK", per_block * vecs.size)
+        images = list(_grid_images(path, vecs, 16))
+        assert len(images) == 17
+        for k in range(1, 17):
+            assert np.abs(images[k] - vecs @ path_point(path, k / 16).T).max() <= 1e-13
+
     @pytest.mark.parametrize(
         "make, probe, expected",
         [
