@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -169,23 +169,11 @@ def witness_margin(tol: Tolerance) -> float:
     return 10 * tol.eps
 
 
-def _rank_one_fit(
-    r: np.ndarray, d1: int, d2: int, margin: float
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """(||U - V ⊗ W||_F, V, W) for the rank-one fit vec(V) vec(W)^T of R(U),
-    or None when that residual is above margin.
-
-    One step a <- R (a^† R)^† of power iteration on R R^† from R's largest
-    column damps all but the leading direction by (s1/s0)^2; with a
-    normalized, vec(W) = a^† R. A zero step (R = 0, or underflow) fails.
-    For unit a the residual squared is ||R||² - ||vec(W)||², both sums at
-    hand, so a fit stops before the D² outer product once that difference
-    exceeds margin² by more than its rounding, 4(d1² + d2²)·eps·||R||²:
-    then the residual is provably above margin. The difference cancels to
-    ~1e-6 on a d = 32 product, whose residual is ~2e-14, so a fit that gets
-    through reports the norm of the difference itself. Both factors get the
-    Frobenius norm of a unitary; the caller fixes the phase.
-    """
+def _power_step(r: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, col_sq): a the normalized step a <- R (a^† R)^† of power iteration
+    on R R^† from R's largest column, which damps all but the leading left
+    singular direction by (s1/s0)^2, and col_sq R's squared column norms;
+    None for a zero step (R = 0, or underflow)."""
     # Squared column norms as np.linalg.norm(r, axis=0) forms them, so the
     # argmax picks the same column.
     col_sq = np.add.reduce((r.conj() * r).real, axis=0)
@@ -194,7 +182,28 @@ def _rank_one_fit(
     norm = np.linalg.norm(a)
     if not norm > 0:
         return None
-    a = a / norm
+    return a / norm, col_sq
+
+
+def _rank_one_fit(
+    r: np.ndarray, d1: int, d2: int, margin: float
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(||U - V ⊗ W||_F, V, W) for the rank-one fit vec(V) vec(W)^T of R(U),
+    or None when that residual is above margin.
+
+    vec(V) is a from _power_step and vec(W) = a^† R; a zero step fails.
+    For unit a the residual squared is ||R||² - ||vec(W)||², both sums at
+    hand, so a fit stops before the D² outer product once that difference
+    exceeds margin² by more than its rounding, 4(d1² + d2²)·eps·||R||²:
+    then the residual is provably above margin. The difference cancels to
+    ~1e-6 on a d = 32 product, whose residual is ~2e-14, so a fit that gets
+    through reports the norm of the difference itself. Both factors get the
+    Frobenius norm of a unitary; the caller fixes the phase.
+    """
+    step = _power_step(r)
+    if step is None:
+        return None
+    a, col_sq = step
     w = a.conj() @ r
     total = col_sq.sum()
     if total - np.vdot(w, w).real > margin**2 + 4 * (d1 * d1 + d2 * d2) * _EPS * total:
@@ -247,41 +256,114 @@ def _swap_columns(u: np.ndarray, d: int) -> np.ndarray:
 
 
 def _first_hit(
-    images: Callable[[int, int], np.ndarray], n: int, d1: int, d2: int, margin: float
+    images: Callable[[int, int], np.ndarray],
+    n: int,
+    d1: int,
+    d2: int,
+    margin: float,
+    start: int = 0,
 ) -> tuple[int, float] | None:
-    """First index in 0..n-1 whose image has second Schmidt coefficient > margin.
+    """First index in start..n-1 whose image has second Schmidt coefficient > margin.
 
     ``images(start, stop)`` returns the (stop - start, d1 * d2) image vectors
-    of those candidates. Batches grow from 1 to _BATCH_CAP candidates, so an
-    early hit costs one candidate's work and memory stays bounded.
+    of those candidates. A batch from start ends at 2 * start + 1, or
+    _BATCH_CAP candidates on, so memory stays bounded: from 0 batches hold
+    1, 2, 4, ... candidates and an early hit costs one candidate's work;
+    from 1 every batch but a truncated last one holds at least 2.
     """
-    start, size = 0, 1
     while start < n:
-        stop = min(start + size, n)
+        stop = min(2 * start + 1, start + _BATCH_CAP, n)
         s = np.linalg.svd(images(start, stop).reshape(-1, d1, d2), compute_uv=False)
         above = s[:, 1] > margin
         if above.any():
             k = int(np.argmax(above))
             return start + k, float(s[k, 1])
-        start, size = stop, min(2 * size, _BATCH_CAP)
+        start = stop
     return None
 
 
-def _find_witness(
-    u: np.ndarray, d1: int, d2: int, margin: float, seed: int, n_samples: int
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """First product input a ⊗ b whose image u(a ⊗ b) has second Schmidt
-    coefficient > margin, as (a, b, coefficient); None when no probe has one.
+def _svd_flops(m: int, n: int) -> float:
+    """Real operations of a values-only SVD of an m x n matrix (Golub and
+    Van Loan's bidiagonalization count)."""
+    big, k = max(m, n), min(m, n)
+    return 4 * big * k * k - 4 * k**3 / 3
 
-    Probes the superposition grid (e_i + e_j) ⊗ (f_k + f_l), normalized, of
-    probe_grid's rows, with the left row as the outer loop, then n_samples
-    random product inputs drawn from one generator seeded with ``seed``.
+
+def _slice_forms(
+    b: np.ndarray, d1: int, d2: int, a: np.ndarray, c: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The two product forms of a slice map B (D x n, column k the image of
+    input e_k) whose image 0 is about a ⊗ c, each as (factor, B - prediction),
+    the second formed only if asked for: V = (I ⊗ c^†)B, predicting column k
+    as V e_k ⊗ c, then W = (a^† ⊗ I)B, predicting a ⊗ W e_k. Each prediction
+    is a product of B's columns with a fixed factor, so every image B x of a
+    unit x is within ||B - prediction||_2 of a product."""
+    n = b.shape[1]
+    b3 = b.reshape(d1, d2, n)
+    v = c.conj() @ b3
+    yield v, b - (v[:, None, :] * c[None, :, None]).reshape(-1, n)
+    w = (a.conj() @ b3.reshape(d1, -1)).reshape(d2, n)
+    yield w, b - (a[:, None, None] * w[None, :, :]).reshape(-1, n)
+
+
+def _row_certified(b: np.ndarray, x: np.ndarray, d1: int, d2: int, margin: float) -> bool:
+    """True when no image B y of a unit y can have a computed second Schmidt
+    coefficient above margin: the row certificate of _grid_hit.
+
+    b is the computed slice map B = U(a ⊗ ·) of one grid row and x = B e_0
+    its image 0, whose top singular pair (c from _power_step, c' = x^T c̄
+    normalized) fixes both of _slice_forms. Each prediction P maps y to a
+    product, so by Weyl's inequality, as in classify_unitary's exclusivity
+    argument, sigma_2(B y) <= ||B - P||_2 for unit y. The row is certified
+    when the smaller residual r plus the slack (D·(d2 + 1) + 16)·eps·||B||_F
+    is <= margin. The slack covers the rounding of the computed images (two
+    nonzero products per entry: 4·eps·||B||_F), of the candidate SVD
+    (backward error p·eps·||B y||, LAPACK's p(d1, d2) taken as D), and of
+    the computed residual (forming B - P: 8·eps·||B||_F; the norm's
+    relative error, at most D·d2·eps, on r <= ||B||_F). The Frobenius norm
+    bounds the spectral one and is tried first; the SVD for ||.||_2 runs
+    only where ||.||_F / sqrt(d2) could still pass. A slack >= margin
+    certifies nothing, so at margin 0 every row is searched.
     """
-    if min(d1, d2) == 1:
-        return None
+    dim = d1 * d2
+    room = margin - (dim * (d2 + 1) + 16) * _EPS * frobenius(b)
+    if not room > 0:
+        return False
+    step = _power_step(x)
+    if step is None:
+        return False
+    c = step[0]
+    c2 = c.conj() @ x
+    for _, residual in _slice_forms(b, d1, d2, c, c2 / np.linalg.norm(c2)):
+        frob = frobenius(residual)
+        if frob <= room:
+            return True
+        if frob <= room * math.sqrt(d2) and np.linalg.norm(residual, 2) <= room:
+            return True
+    return False
+
+
+def _grid_hit(u: np.ndarray, d1: int, d2: int, margin: float) -> tuple[int, int, float] | None:
+    """(left row p, right row q, coefficient) of the first grid candidate,
+    left row outer, whose image has second Schmidt coefficient > margin.
+
+    Rows are certified where a certificate costs less than the SVDs it can
+    save, judged from the dimensions alone: two spectral-norm SVDs of the
+    D x d2 slice against n2 - 1 SVDs of d1 x d2 images (_svd_flops); for
+    d1 = d2 = d that holds from d = 6 up. There each row's image 0 is tested
+    first, alone, and _row_certified may then skip the rest of the row.
+    Elsewhere, as in the verify corpus, batches cross row boundaries.
+
+    The hit and its coefficient are those of the batches alone: a skipped
+    candidate is provably no hit, and a tested image gets the same bits.
+    Rows are contracted with U two or more per matmul and images reached
+    two or more per matmul, as the batches do once rows hold fewer than
+    _BATCH_CAP candidates (d2 <= 44); a lone basis factor copies entries in
+    any matmul, so image 0, a column of its row's slice, is that column.
+    """
     dim = d1 * d2
     left, right = probe_grid(d1)[1], probe_grid(d2)[1]
-    n2 = right.shape[0]
+    n1, n2 = left.shape[0], right.shape[0]
     u3 = u.reshape(dim, d1, d2)
 
     def grid_images(start: int, stop: int) -> np.ndarray:
@@ -295,10 +377,47 @@ def _find_witness(
         ]
         return np.concatenate(rows)
 
-    hit = _first_hit(grid_images, left.shape[0] * n2, d1, d2, margin)
+    if 2 * _svd_flops(dim, d2) >= (n2 - 1) * _svd_flops(d1, d2):
+        hit = _first_hit(grid_images, n1 * n2, d1, d2, margin)
+        return None if hit is None else (hit[0] // n2, hit[0] % n2, hit[1])
+
+    block = max(2, _BATCH_CAP // n2)
+    for p0 in range(0, n1, block):
+        first = min(p0, n1 - 2)
+        partial = left[first : p0 + block] @ u3
+        for p in range(p0, min(p0 + block, n1)):
+            b = partial[:, p - first]
+            x = b[:, 0].reshape(d1, d2)
+            s = np.linalg.svd(x, compute_uv=False)
+            if s[1] > margin:
+                return p, 0, float(s[1])
+            if _row_certified(b, x, d1, d2, margin):
+                continue
+            hit = _first_hit(lambda i, j: right[i:j] @ b.T, n2, d1, d2, margin, start=1)
+            if hit is not None:
+                return p, hit[0], hit[1]
+    return None
+
+
+def _find_witness(
+    u: np.ndarray, d1: int, d2: int, margin: float, seed: int, n_samples: int
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """First product input a ⊗ b whose image u(a ⊗ b) has second Schmidt
+    coefficient > margin, as (a, b, coefficient); None when no probe has one.
+
+    Probes the superposition grid (e_i + e_j) ⊗ (f_k + f_l), normalized, of
+    probe_grid's rows, with the left row as the outer loop (_grid_hit, which
+    skips the rows that _row_certified proves hold no witness), then
+    n_samples random product inputs drawn from one generator seeded with
+    ``seed``.
+    """
+    if min(d1, d2) == 1:
+        return None
+    hit = _grid_hit(u, d1, d2, margin)
     if hit is not None:
-        c, coeff = hit
-        return left[c // n2], right[c % n2], coeff
+        p, q, coeff = hit
+        return probe_grid(d1)[1][p], probe_grid(d2)[1][q], coeff
+    dim = d1 * d2
 
     rng = rng_from_seed(seed)
     _, a = probe_states(d1, rng, n_samples, grid=False)
@@ -375,6 +494,15 @@ def classify_unitary(
     a perturbation, so Ux has second coefficient <= ||U - V ⊗ W||_F; likewise
     for (V ⊗ W)·SWAP. A form carries that residual. m >= 1/sqrt(2) raises
     ValueError before any work on U: no witness can exist there.
+
+    The witness search uses the same argument on each grid row a: with
+    B = U(a ⊗ ·) and P the nearer of its two product forms, read off image
+    0's top singular pair, every image U(a ⊗ y) of a unit y is within
+    r = ||B - P||_2 of a product. A row whose r plus the rounding slack
+    (D·(d2 + 1) + 16)·eps·||B||_F (computed images, candidate SVDs, the
+    computed norm) is <= m holds no witness and is skipped, which leaves
+    the hit, its input and its coefficient as they were (_row_certified).
+    At m = 0, or any m the slack reaches, no row is skipped.
 
     The fits run first, on the D² realignment of a U whose unitarity is not
     yet known; a fit whose power step is zero, as on the zero matrix, fails.
@@ -461,17 +589,16 @@ def classify_slice(
         raise _hypothesis_error((int(bad[0]),))
     x, _, yh = np.linalg.svd(b[:, 0].reshape(d1, d2))
     a, c = _fix_phase(x[:, 0], yh[0], tol)
-    b3 = b.reshape(d1, d2, d1)
     # A floor: residuals below 1e-9 pass at any tol, which keeps
     # controlled_phase(1e-10) at tol 1e-12 a form (TestSliceAgainstVoteReference).
     check_tol = max(tol.eps, 1e-9)
-    # Column i of each prediction is V e_i ⊗ c or a ⊗ W12 e_i.
-    v = c.conj() @ b3
-    local = float(np.linalg.norm(b - (v[:, None, :] * c[None, :, None]).reshape(-1, d1), 2))
+    forms = _slice_forms(b, d1, d2, a, c)
+    v, residual = next(forms)
+    local = float(np.linalg.norm(residual, 2))
     if local <= check_tol:
         return LocalOnObject(v, c, local)
-    w12 = (a.conj() @ b3.reshape(d1, -1)).reshape(d2, d1)
-    transfer = float(np.linalg.norm(b - (a[:, None, None] * w12[None, :, :]).reshape(-1, d1), 2))
+    w12, residual = next(forms)
+    transfer = float(np.linalg.norm(residual, 2))
     if transfer <= check_tol:
         return TransferToProbe(a, w12, transfer)
 

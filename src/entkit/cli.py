@@ -270,7 +270,7 @@ FIXTURES = {
     "random-state": lambda a, d1, d2: vector_to_json(random_state(d1, a.seed)),
     "projective-povm": lambda a, d1, d2: povm_to_json(fixtures.projective_povm(d1)),
     "trine-povm": lambda a, d1, d2: povm_to_json(fixtures.trine_povm()),
-    "random-povm": lambda a, d1, d2: povm_to_json(fixtures.random_povm(d1, max(2, a.samples), a.seed)),
+    "random-povm": lambda a, d1, d2: povm_to_json(fixtures.random_povm(d1, a.samples, a.seed)),
     "swap-scheme": lambda a, d1, d2: scheme_to_json(
         swap_scheme(fixtures.projective_povm(d1), np.eye(d1)[0])
     ),
@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=FIXTURES, metavar="name", help=" | ".join(FIXTURES))
     p.add_argument("--seed", **seed)
     p.add_argument("--dims", **{**dims, "required": False, "default": (2, 2)})
-    p.add_argument("--samples", type=int, default=8, help="random-povm outcome count (at least 2)")
+    p.add_argument(
+        "--samples", type=_int_at_least(2), default=8, help="random-povm outcome count"
+    )
     p.add_argument("--phase", type=float, default=float(np.pi) / 2)
     p.add_argument("--probe-control", action="store_true")
     return parser

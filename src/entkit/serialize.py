@@ -9,6 +9,7 @@ sorted keys so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 
@@ -30,10 +31,30 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _int_field(obj: dict, key: str) -> int:
+    """obj[key] when it is an integer (a JSON integer, or a numpy one in a
+    dict built in memory); ValueError for floats such as 2.9 or 2.0, for
+    booleans (which Python counts as integers) and for anything else."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _entries(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as a float64 array; ValueError unless numpy reads it as a flat
+    list of numbers (strings, nulls, nested lists and all-boolean lists are
+    refused). The dtype numpy infers is checked, so there is no Python loop
+    over the entries."""
+    entries = np.asarray(obj[key])
+    if entries.ndim != 1 or entries.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must be a flat list of numbers")
+    return entries.astype(np.float64, copy=False)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
+    rows, cols = _int_field(obj, "rows"), _int_field(obj, "cols")
+    re, im = _entries(obj, "re"), _entries(obj, "im")
     if rows < 1 or cols < 1:
         raise DimensionError(f"non-positive matrix shape ({rows}, {cols})")
     if re.size != rows * cols or im.size != rows * cols:
@@ -63,7 +84,7 @@ def state_to_json(psi: PureState) -> dict:
 
 
 def state_from_json(obj: dict) -> PureState:
-    space = BipartiteSpace(int(obj["d1"]), int(obj["d2"]))
+    space = BipartiteSpace(_int_field(obj, "d1"), _int_field(obj, "d2"))
     return PureState(space, vector_from_json(obj["vec"]))
 
 
@@ -85,7 +106,7 @@ def povm_to_json(e: POVM) -> dict:
 
 def povm_from_json(obj: dict) -> POVM:
     return POVM(
-        int(obj["dim"]),
+        _int_field(obj, "dim"),
         tuple(obj["outcomes"]),
         tuple(matrix_from_json(eff) for eff in obj["effects"]),
     )
@@ -103,8 +124,8 @@ def scheme_to_json(s: MeasurementScheme) -> dict:
 
 def scheme_from_json(obj: dict) -> MeasurementScheme:
     return MeasurementScheme(
-        int(obj["object_dim"]),
-        int(obj["probe_dim"]),
+        _int_field(obj, "object_dim"),
+        _int_field(obj, "probe_dim"),
         vector_from_json(obj["probe_init"]),
         matrix_from_json(obj["coupling"]),
         povm_from_json(obj["pointer"]),

@@ -43,6 +43,7 @@ from entkit.linalg import (
     Tolerance,
     exp_i_hermitian,
     haar_unitary,
+    probe_grid,
     probe_states,
     random_hermitian,
     random_state,
@@ -919,32 +920,143 @@ def _grid_candidates(d1, d2):
                     yield a, (eye2[k] + eye2[l]) / np.linalg.norm(eye2[k] + eye2[l])
 
 
+ENGINE_MARGIN = 10 * DEFAULT_TOL.eps
+
+
+def _straddling_coupling(d, margin, gap):
+    """Diagonal coupling with phases only in rows e_1 and e_2 of the left
+    factor: phases (0, +x, -x, 0, ...) on the right basis, x = 2 arcsin(r),
+    give grid row pair:0:1 the residual r = margin·(1 - gap) and row pair:0:2
+    r = margin·(1 + gap); each row's best candidate, pair:1:2, reaches about
+    r·cos(x/2), so the hit is in row pair:0:2."""
+    phases = np.zeros((d, d))
+    for row, r in ((1, margin * (1 - gap)), (2, margin * (1 + gap))):
+        x = 2 * np.arcsin(r)
+        phases[row, 1:3] = x, -x
+    return np.diag(np.exp(1j * phases.ravel()))
+
+
 ENGINE_CASES = {
-    "cnot": (cnot(), 2, 2),
-    "cnot-probe-control": (cnot(control_on_object=False), 2, 2),
-    "cphase-3x3": (controlled_phase(np.pi / 3, 3, 3), 3, 3),
-    "cphase-8x8": (controlled_phase(np.pi / 3, 8, 8), 8, 8),
-    "haar-2x3": (haar_unitary(6, 31), 2, 3),
-    "haar-4x4": (haar_unitary(16, 44), 4, 4),
+    "cnot": (cnot(), 2, 2, ENGINE_MARGIN),
+    "cnot-probe-control": (cnot(control_on_object=False), 2, 2, ENGINE_MARGIN),
+    "cphase-3x3": (controlled_phase(np.pi / 3, 3, 3), 3, 3, ENGINE_MARGIN),
+    "cphase-8x8": (controlled_phase(np.pi / 3, 8, 8), 8, 8, ENGINE_MARGIN),
+    "haar-2x3": (haar_unitary(6, 31), 2, 3, ENGINE_MARGIN),
+    "haar-4x4": (haar_unitary(16, 44), 4, 4, ENGINE_MARGIN),
+    # Rows 0-14 are certified products; the hit is in row 15, pair:0:15.
+    "cphase-16x16": (controlled_phase(np.pi / 3, 16, 16), 16, 16, ENGINE_MARGIN),
+    "diagonal-8x8": (random_diagonal_coupling(8, 8, 3), 8, 8, ENGINE_MARGIN),
+    # Row 0 maps e_0 ⊗ y to D_0 y ⊗ e_0: certified by the form that moves
+    # the right input to the left factor.
+    "swap-diagonal-6x6": (swap_unitary(6) @ random_diagonal_coupling(6, 6, 2), 6, 6, ENGINE_MARGIN),
+    "straddling-6x6": (_straddling_coupling(6, 1e-3, 1e-3), 6, 6, 1e-3),
+    # Margin 0 certifies no row: the hit is a rounding residue in row 1.
+    "cphase-8x8-margin-0": (controlled_phase(np.pi / 3, 8, 8), 8, 8, 0.0),
 }
 
 
-class TestWitnessEngine:
-    MARGIN = 10 * DEFAULT_TOL.eps
+def _row_slices(u, d1, d2):
+    """Each grid row's slice map U(a ⊗ ·), D x d2, and its image 0."""
+    u3 = u.reshape(d1 * d2, d1, d2)
+    for a in probe_grid(d1)[1]:
+        b = np.einsum("i,jik->jk", a, u3)
+        yield b, b[:, 0].reshape(d1, d2)
 
+
+def _form_residuals(b, x, d1, d2):
+    """Spectral residuals of the two row forms: (V ⊗ c', c ⊗ W)."""
+    c = classify._power_step(x)[0]
+    c2 = c.conj() @ x
+    forms = classify._slice_forms(b, d1, d2, c, c2 / np.linalg.norm(c2))
+    return [np.linalg.norm(r, 2) for _, r in forms]
+
+
+class TestWitnessEngine:
     @pytest.mark.parametrize("cap", [None, 3])
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_grid_matches_reference_loop(self, case, cap, monkeypatch):
         if cap is not None:
             # Batches of at most 3 cross chunk and grid-row boundaries.
             monkeypatch.setattr(classify, "_BATCH_CAP", cap)
-        u, d1, d2 = ENGINE_CASES[case]
-        want = _reference_first_hit(u, d1, d2, self.MARGIN, _grid_candidates(d1, d2))
-        got = classify._find_witness(u, d1, d2, self.MARGIN, seed=0, n_samples=0)
+        u, d1, d2, margin = ENGINE_CASES[case]
+        want = _reference_first_hit(u, d1, d2, margin, _grid_candidates(d1, d2))
+        got = classify._find_witness(u, d1, d2, margin, seed=0, n_samples=0)
         assert want is not None and got is not None
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert abs(got[2] - want[2]) < 1e-12
+
+    def test_straddling_rows_certified_below_margin_only(self):
+        margin, gap = 1e-3, 1e-3
+        u = _straddling_coupling(6, margin, gap)
+        rows = list(_row_slices(u, 6, 6))
+        for p, r in ((1, margin * (1 - gap)), (2, margin * (1 + gap))):
+            b, x = rows[p]
+            residual = min(_form_residuals(b, x, 6, 6))
+            assert abs(residual - r) < 1e-12
+            # Its Frobenius norm is sqrt(2) r, above the margin: only the
+            # spectral norm certifies row 1.
+            assert classify._row_certified(b, x, 6, 6, margin) == (p == 1)
+
+    @pytest.mark.parametrize(
+        "u, form",
+        [
+            (controlled_phase(np.pi / 3, 6, 6), 1),
+            (swap_unitary(6) @ random_diagonal_coupling(6, 6, 2), 0),
+        ],
+    )
+    def test_each_form_certifies_its_rows(self, u, form):
+        # Row 0 of a controlled coupling keeps the right input on the right
+        # (c ⊗ W); after a swap it moves to the left (V ⊗ c').
+        b, x = next(_row_slices(u, 6, 6))
+        residuals = _form_residuals(b, x, 6, 6)
+        assert residuals[form] < 1e-14 and residuals[1 - form] > 0.5
+        assert classify._row_certified(b, x, 6, 6, ENGINE_MARGIN)
+
+    def test_slack_at_or_above_margin_certifies_nothing(self):
+        # Row 0 of a controlled phase is an exact product: certified at the
+        # default margin, never at 0 or at a margin below the rounding slack.
+        b, x = next(_row_slices(controlled_phase(np.pi / 3, 8, 8), 8, 8))
+        assert classify._row_certified(b, x, 8, 8, ENGINE_MARGIN)
+        for margin in (0.0, 1e-14):
+            assert not classify._row_certified(b, x, 8, 8, margin)
+
+    @pytest.mark.parametrize(
+        "d1, d2, certifies",
+        [(2, 2, False), (2, 4, False), (4, 2, False), (3, 4, False), (4, 4, False),
+         (5, 5, False), (6, 6, True), (8, 8, True), (2, 32, False)],
+    )
+    def test_certificates_only_where_cheaper(self, d1, d2, certifies, monkeypatch):
+        # The verify corpus (d <= 4) keeps the batches crossing row
+        # boundaries and computes no certificate.
+        calls = []
+        real = classify._row_certified
+        monkeypatch.setattr(
+            classify, "_row_certified", lambda *args: calls.append(args) or real(*args)
+        )
+        u = controlled_phase(np.pi / 3, d1, d2)
+        classify._find_witness(u, d1, d2, ENGINE_MARGIN, seed=0, n_samples=0)
+        assert bool(calls) == certifies
+
+    def test_certified_rows_svd_few_matrices(self, monkeypatch):
+        svd = np.linalg.svd
+        matrices = []
+
+        def counting_svd(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        u = controlled_phase(np.pi / 2, 24, 24)
+        a, b, coeff = classify._find_witness(u, 24, 24, ENGINE_MARGIN, seed=0, n_samples=0)
+        # The uncertified engine SVD'd 7167 images before this hit.
+        assert sum(matrices) < 100
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        pair = (np.eye(24)[0] + np.eye(24)[23]) / np.sqrt(2)
+        np.testing.assert_array_equal(a, pair)
+        np.testing.assert_array_equal(b, pair)
+        want = np.linalg.svd((u @ np.kron(pair, pair)).reshape(24, 24), compute_uv=False)[1]
+        assert abs(coeff - want) < 1e-12
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_random_tail_matches_reference_loop(self, cap, monkeypatch):

@@ -80,6 +80,23 @@ class TestClassifyCommand:
         path = write_json(tmp_path / "i4.json", matrix_to_json(np.eye(4)))
         assert run_cli(["classify", path, "--dims", "2", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"rows": 2.9}, "rows must be an integer, got 2.9"),
+            ({"rows": True}, "rows must be an integer, got True"),
+            ({"cols": 2.0}, "cols must be an integer, got 2.0"),
+            ({"re": ["1", 0, 0, 1]}, "re must be a flat list of numbers"),
+            ({"im": [None, 0, 0, 0]}, "im must be a flat list of numbers"),
+        ],
+    )
+    def test_malformed_matrix_exit_2(self, change, message, tmp_path, capsys):
+        obj = {**matrix_to_json(np.eye(2)), **change}
+        path = write_json(tmp_path / "bad.json", obj)
+        assert run_cli(["classify", path, "--dims", "1", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "is not a valid matrix" in err and message in err
+
     def test_non_unitary_exit_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "d.json", matrix_to_json(np.diag([1.0, 2.0])))
         assert run_cli(["classify", path, "--dims", "1", "2"]) == 3
@@ -467,6 +484,13 @@ class TestFlagContract:
         swap = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
         assert run_cli(["path", swap, "--dims", "2", "2", *flag]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["-4", "1"])
+    def test_gen_samples_checked_by_parser(self, samples, capsys):
+        # random-povm needs two outcomes; a smaller count is a usage error,
+        # not silently raised to 2.
+        assert run_cli(["gen", "random-povm", "--samples", samples]) == 2
+        assert f"--samples: must be at least 2, got {samples}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, has_seed", [
         ("classify", True), ("slice", False), ("measure", False), ("path", True),

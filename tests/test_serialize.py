@@ -50,6 +50,27 @@ class TestMatrixJson:
         with pytest.raises(DimensionError):
             vector_from_json(matrix_to_json(np.eye(2)))
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    def test_shape_must_be_integer(self, key, value):
+        obj = {**matrix_to_json(np.eye(2)), key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [["1", 0.0, 0.0, 1.0], [None, 0.0, 0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [True] * 4],
+    )
+    def test_entries_must_be_numbers(self, entries):
+        obj = {**matrix_to_json(np.eye(2)), "re": entries}
+        with pytest.raises(ValueError, match="re must be a flat list of numbers"):
+            matrix_from_json(obj)
+
+    def test_integer_entries_accepted(self):
+        # A numpy integer size, as in a dict built in memory, is an integer too.
+        obj = {"rows": np.int64(2), "cols": 1, "re": [1, 0], "im": [0, 2]}
+        np.testing.assert_array_equal(vector_from_json(obj), [1, 2j])
+
 
 class TestStateAndPovmJson:
     def test_state_round_trip(self):
@@ -57,6 +78,13 @@ class TestStateAndPovmJson:
         back = state_from_json(state_to_json(psi))
         assert back.space == psi.space
         np.testing.assert_array_equal(back.vec, psi.vec)
+
+    def test_dimensions_must_be_integers(self):
+        psi = PureState(BipartiteSpace(2, 3), random_state(6, 7))
+        with pytest.raises(ValueError, match="d1 must be an integer"):
+            state_from_json({**state_to_json(psi), "d1": 2.5})
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            povm_from_json({**povm_to_json(trine_povm()), "dim": True})
 
     def test_schmidt_shape(self):
         psi = PureState(BipartiteSpace(2, 3), random_state(6, 8))
