@@ -44,7 +44,6 @@ from .dynamics import (
     UnitaryPath,
     entanglement_profile,
     geodesic_path,
-    max_path_entanglement,
     path_from_generator,
     path_point,
 )

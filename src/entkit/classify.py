@@ -282,13 +282,6 @@ def _first_hit(
     return None
 
 
-def _svd_flops(m: int, n: int) -> float:
-    """Real operations of a values-only SVD of an m x n matrix (Golub and
-    Van Loan's bidiagonalization count)."""
-    big, k = max(m, n), min(m, n)
-    return 4 * big * k * k - 4 * k**3 / 3
-
-
 def _slice_forms(
     b: np.ndarray, d1: int, d2: int, a: np.ndarray, c: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -347,53 +340,27 @@ def _grid_hit(u: np.ndarray, d1: int, d2: int, margin: float) -> tuple[int, int,
     """(left row p, right row q, coefficient) of the first grid candidate,
     left row outer, whose image has second Schmidt coefficient > margin.
 
-    Rows are certified where a certificate costs less than the SVDs it can
-    save, judged from the dimensions alone: two spectral-norm SVDs of the
-    D x d2 slice against n2 - 1 SVDs of d1 x d2 images (_svd_flops); for
-    d1 = d2 = d that holds from d = 6 up. There each row's image 0 is tested
-    first, alone, and _row_certified may then skip the rest of the row.
-    Elsewhere, as in the verify corpus, batches cross row boundaries.
-
-    The hit and its coefficient are those of the batches alone: a skipped
-    candidate is provably no hit, and a tested image gets the same bits.
-    Rows are contracted with U two or more per matmul and images reached
-    two or more per matmul, as the batches do once rows hold fewer than
-    _BATCH_CAP candidates (d2 <= 44); a lone basis factor copies entries in
-    any matmul, so image 0, a column of its row's slice, is that column.
+    Rows are contracted with U two or more per matmul, as many as fill
+    _BATCH_CAP candidates. In each row a, image 0 (right factor basis:0) is
+    column 0 of the slice B = U(a ⊗ ·) and is tested first, alone; unless
+    _row_certified then proves that the row holds no witness, _first_hit
+    reaches its images from 1 on, two or more per matmul. The hit and its
+    coefficient are those of a candidate-by-candidate search: a skipped
+    candidate is provably no hit, and a tested image gets the same bits (a
+    lone basis factor copies entries in any matmul, so column 0 is image 0).
     """
-    dim = d1 * d2
     left, right = probe_grid(d1)[1], probe_grid(d2)[1]
     n1, n2 = left.shape[0], right.shape[0]
-    u3 = u.reshape(dim, d1, d2)
-
-    def grid_images(start: int, stop: int) -> np.ndarray:
-        # Contract U with each left factor once, then reach every right
-        # factor of that row with one matmul: D * d2 work per candidate.
-        p0, p1 = start // n2, (stop - 1) // n2 + 1
-        partial = left[p0:p1] @ u3
-        rows = [
-            right[max(start - p * n2, 0) : min(stop - p * n2, n2)] @ partial[:, p - p0].T
-            for p in range(p0, p1)
-        ]
-        return np.concatenate(rows)
-
-    if 2 * _svd_flops(dim, d2) >= (n2 - 1) * _svd_flops(d1, d2):
-        hit = _first_hit(grid_images, n1 * n2, d1, d2, margin)
-        return None if hit is None else (hit[0] // n2, hit[0] % n2, hit[1])
-
+    u3 = u.reshape(d1 * d2, d1, d2)
     block = max(2, _BATCH_CAP // n2)
     for p0 in range(0, n1, block):
         first = min(p0, n1 - 2)
         partial = left[first : p0 + block] @ u3
         for p in range(p0, min(p0 + block, n1)):
             b = partial[:, p - first]
-            x = b[:, 0].reshape(d1, d2)
-            s = np.linalg.svd(x, compute_uv=False)
-            if s[1] > margin:
-                return p, 0, float(s[1])
-            if _row_certified(b, x, d1, d2, margin):
-                continue
-            hit = _first_hit(lambda i, j: right[i:j] @ b.T, n2, d1, d2, margin, start=1)
+            hit = _first_hit(lambda i, j: b.T[i:j], 1, d1, d2, margin)
+            if hit is None and not _row_certified(b, b[:, 0].reshape(d1, d2), d1, d2, margin):
+                hit = _first_hit(lambda i, j: right[i:j] @ b.T, n2, d1, d2, margin, start=1)
             if hit is not None:
                 return p, hit[0], hit[1]
     return None
@@ -495,10 +462,11 @@ def classify_unitary(
     for (V ⊗ W)·SWAP. A form carries that residual. m >= 1/sqrt(2) raises
     ValueError before any work on U: no witness can exist there.
 
-    The witness search uses the same argument on each grid row a: with
-    B = U(a ⊗ ·) and P the nearer of its two product forms, read off image
-    0's top singular pair, every image U(a ⊗ y) of a unit y is within
-    r = ||B - P||_2 of a product. A row whose r plus the rounding slack
+    The witness search uses the same argument on every grid row a, at
+    every dimension: with B = U(a ⊗ ·) and P the nearer of its two product
+    forms, read off the top singular pair of image 0 (tested first, alone),
+    every image U(a ⊗ y) of a unit y is within r = ||B - P||_2 of a
+    product. A row whose r plus the rounding slack
     (D·(d2 + 1) + 16)·eps·||B||_F (computed images, candidate SVDs, the
     computed norm) is <= m holds no witness and is skipped, which leaves
     the hit, its input and its coefficient as they were (_row_certified).

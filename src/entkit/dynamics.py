@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, PureState, _entropy_bits, schmidt_coefficients
+from .bipartite import BipartiteSpace, _entropy_bits, schmidt_coefficients
 from .classify import _classify, witness_margin
 from .errors import DimensionError, NonUnitaryError
 from .linalg import (
@@ -214,16 +214,3 @@ def entanglement_profile(
         points.append(ProfilePoint(t, float(top), labels[best], vecs[best], verdict))
     return EntanglementProfile(p.space, tuple(points))
 
-
-def max_path_entanglement(
-    p: UnitaryPath,
-    probe_init: np.ndarray,
-    n_steps: int = 64,
-    seed: int = DEFAULT_SEED,
-    n_inputs: int = 8,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[float, PureState, float]:
-    """Grid argmax of the profile: (t*, maximizing input state, entropy* bits)."""
-    profile = entanglement_profile(p, probe_init, n_steps, seed, n_inputs, tol)
-    best = profile.max_point()
-    return best.t, PureState(p.space, best.maximizing_input), best.max_entropy_bits

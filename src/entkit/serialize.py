@@ -42,12 +42,19 @@ def _int_field(obj: dict, key: str) -> int:
 
 
 def _entries(obj: dict, key: str) -> np.ndarray:
-    """obj[key] as a float64 array; ValueError unless numpy reads it as a flat
-    list of numbers (strings, nulls, nested lists and all-boolean lists are
-    refused). The dtype numpy infers is checked, so there is no Python loop
-    over the entries."""
-    entries = np.asarray(obj[key])
-    if entries.ndim != 1 or entries.dtype.kind not in "iuf":
+    """obj[key] as a float64 array; ValueError unless it is a flat list of
+    numbers. The dtype numpy infers refuses strings, nulls, nested lists,
+    all-boolean lists and integers too large for a float; numpy reads a
+    boolean among numbers as 0 or 1, so the entries' types are checked for
+    booleans too. Both are C-level passes, with no Python loop over the
+    entries."""
+    value = obj[key]
+    entries = np.asarray(value)
+    if (
+        entries.ndim != 1
+        or entries.dtype.kind not in "iuf"
+        or not isinstance(value, np.ndarray) and {bool, np.bool_} & set(map(type, value))
+    ):
         raise ValueError(f"{key} must be a flat list of numbers")
     return entries.astype(np.float64, copy=False)
 
@@ -105,9 +112,14 @@ def povm_to_json(e: POVM) -> dict:
 
 
 def povm_from_json(obj: dict) -> POVM:
+    """The POVM of povm_to_json's fields; ValueError unless outcomes is a
+    list (a string would otherwise be read as one label per character)."""
+    outcomes = obj["outcomes"]
+    if not isinstance(outcomes, list):
+        raise ValueError(f"outcomes must be a list of labels, got {outcomes!r}")
     return POVM(
         _int_field(obj, "dim"),
-        tuple(obj["outcomes"]),
+        tuple(outcomes),
         tuple(matrix_from_json(eff) for eff in obj["effects"]),
     )
 

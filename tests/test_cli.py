@@ -88,6 +88,8 @@ class TestClassifyCommand:
             ({"cols": 2.0}, "cols must be an integer, got 2.0"),
             ({"re": ["1", 0, 0, 1]}, "re must be a flat list of numbers"),
             ({"im": [None, 0, 0, 0]}, "im must be a flat list of numbers"),
+            ({"re": [True, 0.5, 0, 1]}, "re must be a flat list of numbers"),
+            ({"im": [0, 0, 0, 10**400]}, "im must be a flat list of numbers"),
         ],
     )
     def test_malformed_matrix_exit_2(self, change, message, tmp_path, capsys):
@@ -261,6 +263,16 @@ class TestMeasureCommand:
         write_json(tmp_path / "s.json", scheme)
         state = write_json(tmp_path / "e0.json", vector_to_json(np.eye(2)[0]))
         assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 4
+
+    def test_string_outcomes_exit_2(self, tmp_path, capsys):
+        run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
+        capsys.readouterr()
+        scheme = json.loads((tmp_path / "s.json").read_text())
+        scheme["pointer"]["outcomes"] = "01"
+        write_json(tmp_path / "s.json", scheme)
+        state = write_json(tmp_path / "e0.json", vector_to_json(np.eye(2)[0]))
+        assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 2
+        assert "outcomes must be a list" in capsys.readouterr().err
 
     def test_non_unitary_coupling_exit_3(self, tmp_path, capsys):
         # Exit 3 is "input not unitary", as for classify on the same coupling.

@@ -10,7 +10,6 @@ from entkit.dynamics import (
     _grid_images,
     entanglement_profile,
     geodesic_path,
-    max_path_entanglement,
     path_from_generator,
     path_point,
     profile_inputs,
@@ -425,19 +424,21 @@ class TestHoistedImages:
 
 
 class TestMaxPathEntanglement:
+    """The grid maximum of a profile, EntanglementProfile.max_point."""
+
     def test_identity(self):
         path = geodesic_path(np.eye(4), 2, 2)
-        _, _, entropy = max_path_entanglement(path, E2[0], n_steps=8, seed=1, n_inputs=2)
-        assert entropy < 1e-12
+        best = entanglement_profile(path, E2[0], n_steps=8, seed=1, n_inputs=2).max_point()
+        assert best.max_entropy_bits < 1e-12
 
     def test_swap_peak_at_midpoint(self):
         path = geodesic_path(swap_unitary(2), 2, 2)
-        t_star, state, entropy = max_path_entanglement(path, E2[0], n_steps=64, seed=2, n_inputs=8)
-        assert entropy > 0.5
-        assert abs(t_star - 0.5) < 1e-12
-        assert abs(entropy - 1.0) < 1e-9
+        best = entanglement_profile(path, E2[0], n_steps=64, seed=2, n_inputs=8).max_point()
+        assert best.max_entropy_bits > 0.5
+        assert abs(best.t - 0.5) < 1e-12
+        assert abs(best.max_entropy_bits - 1.0) < 1e-9
 
     def test_cnot_reaches_witness_entropy(self):
         path = geodesic_path(cnot(), 2, 2)
-        _, _, entropy = max_path_entanglement(path, E2[0], n_steps=64, seed=2, n_inputs=8)
-        assert entropy >= 1.0 - 1e-9
+        best = entanglement_profile(path, E2[0], n_steps=64, seed=2, n_inputs=8).max_point()
+        assert best.max_entropy_bits >= 1.0 - 1e-9

@@ -5,7 +5,7 @@ import pytest
 
 from entkit.bipartite import BipartiteSpace, PureState, schmidt
 from entkit.errors import DimensionError
-from entkit.fixtures import random_povm, trine_povm
+from entkit.fixtures import projective_povm, random_povm, trine_povm
 from entkit.linalg import haar_unitary, random_state
 from entkit.measurement import swap_scheme
 from entkit.serialize import (
@@ -59,7 +59,18 @@ class TestMatrixJson:
 
     @pytest.mark.parametrize(
         "entries",
-        [["1", 0.0, 0.0, 1.0], [None, 0.0, 0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [True] * 4],
+        [
+            ["1", 0.0, 0.0, 1.0],
+            [None, 0.0, 0.0, 1.0],
+            [[1.0, 0.0], [0.0, 1.0]],
+            [True] * 4,
+            # numpy reads a boolean among numbers as 0 or 1.
+            [True, 0.0, 0.0, 1.0],
+            [1, 0, 0, False],
+            [np.True_, 0.0, 0.0, 1.0],
+            # Too large for a float.
+            [10**400, 0, 0, 1],
+        ],
     )
     def test_entries_must_be_numbers(self, entries):
         obj = {**matrix_to_json(np.eye(2)), "re": entries}
@@ -97,6 +108,12 @@ class TestStateAndPovmJson:
         assert back.outcomes == e.outcomes
         for a, b in zip(back.effects, e.effects):
             np.testing.assert_array_equal(a, b)
+
+    def test_povm_outcomes_must_be_a_list(self):
+        # A string would be read as one label per character.
+        obj = {**povm_to_json(projective_povm(2)), "outcomes": "01"}
+        with pytest.raises(ValueError, match="outcomes must be a list"):
+            povm_from_json(obj)
 
     def test_scheme_round_trip(self):
         s = swap_scheme(trine_povm(), random_state(2, 12))
