@@ -10,12 +10,13 @@ through product-form unitaries alone, so interior points must entangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Iterator
 
 import numpy as np
 
 from .bipartite import BipartiteSpace, _entropy_bits, schmidt_coefficients
-from .classify import _classify, witness_margin
+from .classify import _EPS, _classify, witness_margin
 from .errors import DimensionError, NonUnitaryError
 from .linalg import (
     DEFAULT_SEED,
@@ -23,6 +24,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
+    frobenius,
     probe_states,
     require_unit,
     rng_from_seed,
@@ -65,9 +67,14 @@ def geodesic_path(
 
 
 def path_from_generator(h: np.ndarray, d1: int, d2: int) -> UnitaryPath:
-    """Path of an explicitly chosen generator, from one eigh of its Hermitian part."""
+    """Path of an explicitly chosen generator, from one eigh of its Hermitian
+    part; DimensionError, before any work on h, unless h is square of side
+    d1 * d2."""
+    space = BipartiteSpace(d1, d2)
+    if np.shape(h) != (space.dim, space.dim):
+        raise DimensionError(f"generator must be square of side {space.dim}, got {np.shape(h)}")
     h = as_matrix(h)
-    return UnitaryPath(*np.linalg.eigh((h + h.conj().T) / 2), BipartiteSpace(d1, d2))
+    return UnitaryPath(*np.linalg.eigh((h + h.conj().T) / 2), space)
 
 
 def path_point(p: UnitaryPath, t: float) -> np.ndarray:
@@ -150,6 +157,33 @@ def _grid_images(p: UnitaryPath, vecs: np.ndarray, n_steps: int) -> Iterator[np.
         yield from images.reshape(len(t), n, dim)
 
 
+def _nonlocal_bound(p: UnitaryPath, delta: float) -> float:
+    """r >= max over t in [0, 1] of ||U_t - e^{itA} ⊗ e^{itB}||_F for
+    Hermitian A, B, as entanglement_profile derives it, from one D³ gemm:
+    ||H - P(H)||_F for H = V diag(w) V^†, plus V's defect ``delta`` weighted
+    by max|w|, plus the rounding of forming H, P(H) and the norm. Inf or
+    NaN, silently, when H or its partial traces overflow."""
+    d1, d2, dim = p.space.d1, p.space.d2, p.space.dim
+    w, v = p.phases, p.vectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (v * w) @ v.conj().T
+        h4 = h.reshape(d1, d2, d1, d2)
+        a = np.trace(h4, axis1=1, axis2=3) / d2
+        b = np.trace(h4, axis1=0, axis2=2) / d1
+        mean = np.trace(h) / dim
+        # h - P(h) in place: a ⊗ I is a on the diagonal of every d2 x d2
+        # block, I ⊗ b is b in each diagonal block.
+        h4[:, np.arange(d2), :, np.arange(d2)] -= a
+        h4[np.arange(d1), :, np.arange(d1), :] -= b
+        h.flat[:: dim + 1] += mean
+        nonlocal_norm = frobenius(h)
+    w_max = float(np.abs(w).max())
+    d_bar = delta + (dim + 4) * dim * _EPS * (1 + delta)
+    rho = w_max * (1 + d_bar)
+    rounding = ((dim + 4) * dim + (dim + d1 + d2 + 16) * math.sqrt(dim)) * _EPS * rho
+    return nonlocal_norm * (1 + dim * dim * _EPS) + (w_max + 1) * d_bar * (2 + d_bar) + rounding
+
+
 def entanglement_profile(
     p: UnitaryPath,
     probe_init: np.ndarray,
@@ -177,11 +211,49 @@ def entanglement_profile(
     The argument holds for the exact U_t; the images and path_point's U_t
     each carry the rounding that _grid_images states, so the verdict can
     differ from _classify(path_point(p, t), ...) only where an input's
-    coefficient and a form's residual both lie that close to m. Otherwise,
-    and always when d1 or d2 is 1, path_point(p, t) is formed and _classify
-    decides, seeded split_seed(seed, f"verdict-{k}"); it raises
-    WitnessSearchError when it finds neither form nor witness. A tol too
-    loose for classify_unitary raises ValueError.
+    coefficient and a form's residual both lie that close to m.
+
+    A point whose inputs witness nothing is decided, where it can be, by one
+    certificate for the whole path: a bound r on the distance from every
+    U_t to a product of local unitaries, computed by _nonlocal_bound at the
+    first such point with 0 < t < 1 and at most once per profile. Let
+    H = V diag(w) V^† and P the Hilbert-Schmidt projection onto the local
+    generators X ⊗ I + I ⊗ Y (Zanardi, quant-ph/0010074),
+    P(H) = Tr_2 H/d2 ⊗ I + I ⊗ Tr_1 H/d1 - (Tr H/D) I. Three steps:
+    - V = QS with Q unitary (its polar factor) and S = (V^†V)^{1/2}; S's
+      eigenvalues s satisfy |s - 1| <= |s² - 1|, so ||V - Q||_F <= δ. With
+      H' = Q diag(w) Q^†, ||H - H'||_F <= max|w|·δ(2 + δ), and the exact
+      U_t = V e^{itw} V^† is within δ(2 + δ) of e^{itH'}.
+    - I - P is an orthogonal projection, hence a contraction:
+      ||H' - P(H')||_F <= ||H - P(H)||_F + ||H - H'||_F. P(H') is
+      A ⊗ I + I ⊗ B with Hermitian, commuting terms, so
+      e^{itP(H')} = e^{itA} ⊗ e^{itB}.
+    - Duhamel: e^{itX} - e^{itY} is the integral over s in [0, t] of
+      e^{isX} i(X - Y) e^{i(t-s)Y}, so ||e^{itX} - e^{itY}||_F <=
+      t·||X - Y||_F for Hermitian X, Y, and t <= 1.
+    Hence ||U_t - e^{itA} ⊗ e^{itB}||_F <= ||H - P(H)||_F
+    + (max|w| + 1)·δ(2 + δ) for every t in [0, 1]. r adds the rounding,
+    in units of ε = 2^-52 (twice the unit roundoff, which covers complex
+    arithmetic's constants): the computed δ is raised by (D + 4)·D·ε·(1 + δ)
+    for the D-term sums of V^†V, the gemm forming H is off by at most
+    (D + 4)·D·ε·ρ in Frobenius norm (ρ = max|w|(1 + δ), ||V||_F² <= D(1 + δ)),
+    the partial traces and the in-place subtractions by
+    (D + d1 + d2 + 16)·√D·ε·ρ (each of P's three terms has Frobenius norm
+    <= ||H||_F <= √D·ρ), and the computed norm is raised by its relative
+    error D²·ε. When r < m (never at m = 0), that point and every later one
+    whose inputs witness nothing is "product", t = 1 included, with no
+    path_point and no fit. _classify's power-step fit of U_t reaches the
+    nearest product's distance up to a term of order r²/√D, so a certified
+    verdict can differ from _classify(path_point(p, t), ...) only where a
+    fit residual lies within rounding (and that term) of m.
+
+    The other points whose inputs witness nothing (every point, when d1 or
+    d2 is 1 and no input can witness) form path_point(p, t), and _classify
+    decides, seeded split_seed(seed, f"verdict-{k}"): t = 0; t = 1 on a path
+    whose interior is witnessed throughout, such as a SWAP geodesic, which
+    never forms the bound; and all of them when r >= m, or r is NaN or inf.
+    _classify raises WitnessSearchError when it finds neither form nor
+    witness. A tol too loose for classify_unitary raises ValueError.
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps, got {n_steps}")
@@ -199,6 +271,7 @@ def entanglement_profile(
     if bound > tol.eps:
         raise NonUnitaryError(f"path is not unitary: defect bound {bound:.3e}", bound)
     labels, vecs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
+    certified = None  # whether _nonlocal_bound certifies every U_t, once formed
     points = []
     for k, images in enumerate(_grid_images(p, vecs, n_steps)):
         t = k / n_steps
@@ -209,8 +282,13 @@ def entanglement_profile(
         if min(d1, d2) > 1 and s[:, 1].max() > margin:
             verdict = "entangling"
         else:
-            u_t = path_point(p, t)
-            verdict = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}")).verdict
+            if certified is None and 0 < k < n_steps:
+                certified = _nonlocal_bound(p, delta) < margin
+            if certified:
+                verdict = "product"
+            else:
+                u_t = path_point(p, t)
+                verdict = _classify(u_t, d1, d2, tol, split_seed(seed, f"verdict-{k}")).verdict
         points.append(ProfilePoint(t, float(top), labels[best], vecs[best], verdict))
     return EntanglementProfile(p.space, tuple(points))
 

@@ -9,6 +9,8 @@ sorted keys so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+import math
 import numbers
 import os
 import tempfile
@@ -26,8 +28,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(x) for x in m.real.ravel()],
-        "im": [float(x) for x in m.imag.ravel()],
+        "re": m.real.ravel().tolist(),
+        "im": m.imag.ravel().tolist(),
     }
 
 
@@ -144,9 +146,62 @@ def scheme_from_json(obj: dict) -> MeasurementScheme:
     )
 
 
+# json.dumps(obj, sort_keys=True, indent=2) without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _scalar(obj, pad: str) -> str:
+    """A value that _render leaves to json, as json.dumps(obj, sort_keys=True,
+    indent=2) renders it nested at indentation pad: a string or a finite
+    Python float as json writes it, a container by the indented encoder, and
+    any other scalar by json.dumps's default encoder, which runs in C (an
+    indent changes no scalar's rendering)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, _CONTAINERS):
+        # json escapes every newline inside a string, so each "\n" starts a line.
+        return _encode(obj).replace("\n", "\n" + pad)
+    return json.dumps(obj)
+
+
+def _render(obj: list | tuple | dict, pad: str) -> str | None:
+    """A list, tuple or dict as json.dumps(obj, sort_keys=True, indent=2)
+    renders it, nested at indentation pad; None when it holds no non-empty
+    flat list of finite Python floats, for json.dumps to render.
+
+    json.dumps with an indent runs the pure-Python encoder, one generator
+    step per entry. A matrix's entry list is instead one join of
+    float.__repr__, the rendering json uses for a finite float; the lists and
+    string-keyed dicts around such lists are walked here, and every other
+    value is json.dumps's."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        values = list(obj.values())
+    elif obj and set(map(type, obj)) == {float}:
+        body = (",\n" + inner).join(map(float.__repr__, obj))
+        # A finite float's repr has no "n"; json spells NaN and inf its own way.
+        return None if "n" in body else "[\n" + inner + body + "\n" + pad + "]"
+    else:
+        values = obj
+    parts = [_render(v, inner) if isinstance(v, _CONTAINERS) else None for v in values]
+    if parts.count(None) == len(parts) or isinstance(obj, dict) and not all(type(k) is str for k in obj):
+        return None
+    items = [_scalar(v, inner) if p is None else p for v, p in zip(values, parts)]
+    if isinstance(obj, dict):
+        lines = (f"{inner}{encode_basestring_ascii(k)}: {item}" for k, item in sorted(zip(obj, items)))
+        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, newline-terminated."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, newline-terminated; the bytes of
+    json.dumps(obj, sort_keys=True, indent=2) + "\n"."""
+    text = _render(obj, "") if isinstance(obj, _CONTAINERS) else None
+    return (_encode(obj) if text is None else text) + "\n"
 
 
 def profile_csv(points) -> str:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit import dynamics
-from entkit.bipartite import BipartiteSpace, PureState, entanglement_entropy
-from entkit.classify import _classify, classify_unitary
+from entkit.bipartite import BipartiteSpace, PureState, entanglement_entropy, schmidt_coefficients
+from entkit.classify import _classify, classify_unitary, witness_margin
 from entkit.dynamics import (
     UnitaryPath,
     _grid_images,
@@ -14,9 +14,10 @@ from entkit.dynamics import (
     path_point,
     profile_inputs,
 )
-from entkit.errors import DimensionError, NonUnitaryError, NormalizationError
+from entkit.errors import DimensionError, NonUnitaryError, NormalizationError, WitnessSearchError
 from entkit.fixtures import cnot, dressed_swap, haar_product
 from entkit.linalg import (
+    DEFAULT_SEED,
     DEFAULT_TOL,
     Tolerance,
     exp_i_hermitian,
@@ -90,6 +91,15 @@ class TestUnitaryPath:
         w, v = np.linalg.eigh(random_hermitian(4, 3))
         with pytest.raises(DimensionError):
             UnitaryPath(w, v, BipartiteSpace(2, 3))
+
+    @pytest.mark.parametrize("h", [np.ones((2, 3)), np.eye(4), np.ones(6)], ids=["2x3", "4x4", "vector"])
+    def test_generator_shape_refused_before_eigh(self, monkeypatch, h):
+        def eigh(*args):
+            raise AssertionError("eigh ran on a generator of the wrong shape")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(DimensionError, match="side 6"):
+            path_from_generator(h, 2, 3)
 
 
 class TestPathPoint:
@@ -340,6 +350,66 @@ HOISTING_PATHS = (
 )
 
 
+def _record(monkeypatch, calls, name, record):
+    """Replace dynamics.<name> by a wrapper appending (name, record(args, out))
+    to calls, or (name, "WitnessSearchError") before re-raising one."""
+    kernel = getattr(dynamics, name)
+
+    def wrapper(*args):
+        try:
+            out = kernel(*args)
+        except WitnessSearchError:
+            calls.append((name, "WitnessSearchError"))
+            raise
+        calls.append((name, record(args, out)))
+        return out
+
+    monkeypatch.setattr(dynamics, name, wrapper)
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The fits a profile runs, in order: ("path_point", t) and
+    ("_classify", verdict or "WitnessSearchError")."""
+    calls = []
+    _record(monkeypatch, calls, "path_point", lambda args, out: args[1])
+    _record(monkeypatch, calls, "_classify", lambda args, out: out.verdict)
+    return calls
+
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """("_nonlocal_bound", r) for each bound a profile forms."""
+    calls = []
+    _record(monkeypatch, calls, "_nonlocal_bound", lambda args, out: out)
+    return calls
+
+
+def _uncertified(path, probe, tol, n_steps=64, seed=DEFAULT_SEED):
+    """(fits, outcome) of the profile with no certificate: path_point and
+    _classify at every grid point that no input witnesses, "entangling"
+    elsewhere; the outcome is the verdicts, or "WitnessSearchError" at the
+    first fit that raises it."""
+    d1, d2 = path.space.d1, path.space.d2
+    _, vecs = profile_inputs(d1, d2, probe, seed, 8)
+    calls, verdicts = [], []
+    for k, images in enumerate(_grid_images(path, vecs, n_steps)):
+        s = schmidt_coefficients(path.space, images)
+        if min(d1, d2) > 1 and s[:, 1].max() > witness_margin(tol):
+            verdicts.append("entangling")
+            continue
+        t = k / n_steps
+        calls.append(("path_point", t))
+        try:
+            form = _classify(path_point(path, t), d1, d2, tol, split_seed(seed, f"verdict-{k}"))
+        except WitnessSearchError:
+            calls.append(("_classify", "WitnessSearchError"))
+            return calls, "WitnessSearchError"
+        calls.append(("_classify", form.verdict))
+        verdicts.append(form.verdict)
+    return calls, verdicts
+
+
 class TestHoistedImages:
     @pytest.mark.parametrize("make", HOISTING_PATHS)
     def test_verdicts_match_classify_at_every_grid_point(self, make):
@@ -378,36 +448,67 @@ class TestHoistedImages:
                 lambda: geodesic_path(swap_unitary(3), 3, 3), np.eye(3)[0],
                 [(0.0, "product"), (1.0, "swap")], id="swap-3",
             ),
+            # The certificate, formed at t = 1/64, decides every later point.
             pytest.param(
-                lambda: _local_path(2, 3, 31), random_state(3, 5),
-                [(k / 64, "product") for k in range(65)], id="local-2x3",
+                lambda: _local_path(2, 3, 31), random_state(3, 5), [(0.0, "product")], id="local-2x3",
             ),
             pytest.param(
                 lambda: path_from_generator(random_hermitian(3, 51), 1, 3), np.eye(3)[0],
-                [(k / 64, "product") for k in range(65)], id="factor-dim-1",
+                [(0.0, "product")], id="factor-dim-1",
             ),
         ],
     )
-    def test_forms_fitted_only_where_no_input_witnesses(self, monkeypatch, make, probe, expected):
-        path = make()
-        calls = []
-
-        def counted(name, record):
-            kernel = getattr(dynamics, name)
-
-            def wrapper(*args):
-                out = kernel(*args)
-                calls.append((name, record(args, out)))
-                return out
-
-            monkeypatch.setattr(dynamics, name, wrapper)
-
-        counted("path_point", lambda args, out: args[1])
-        counted("_classify", lambda args, out: out.verdict)
-        entanglement_profile(path, probe, n_steps=64)
-        assert calls == [
+    def test_forms_fitted_only_where_no_input_witnesses(self, fits, make, probe, expected):
+        entanglement_profile(make(), probe, n_steps=64)
+        assert fits == [
             call for t, verdict in expected for call in (("path_point", t), ("_classify", verdict))
         ]
+
+    @pytest.mark.parametrize(
+        "make, probe, tol",
+        [
+            # V = I exactly, so the path passes at tol 0, and d1 = 1 leaves
+            # every point unwitnessed: the bound is formed, and refused.
+            pytest.param(
+                lambda: path_from_generator(np.diag([0.3, -1.2, 2.0]), 1, 3), np.eye(3)[0],
+                Tolerance(0), id="tol-0",
+            ),
+            # Non-local parts of about 10·m and 100·m: uncertified, ending in
+            # WitnessSearchError and in entangling verdicts.
+            pytest.param(
+                lambda: _local_path(2, 3, 31, coupling=1e-7), random_state(3, 5), DEFAULT_TOL,
+                id="coupled-2x3",
+            ),
+            pytest.param(
+                lambda: _local_path(3, 2, 41, coupling=1e-6), random_state(2, 5), DEFAULT_TOL,
+                id="coupled-3x2",
+            ),
+        ],
+    )
+    def test_uncertified_profile_fits_every_unwitnessed_point(self, fits, bounds, make, probe, tol):
+        path = make()
+        expected = _uncertified(path, probe, tol)
+        try:
+            outcome = [pt.verdict for pt in entanglement_profile(path, probe, n_steps=64, tol=tol).points]
+        except WitnessSearchError:
+            outcome = "WitnessSearchError"
+        assert len(bounds) == 1 and not bounds[0][1] < witness_margin(tol)
+        assert (fits, outcome) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_swap_geodesic_forms_no_bound(self, bounds, d):
+        profile = entanglement_profile(geodesic_path(swap_unitary(d), d, d), np.eye(d)[0], n_steps=64)
+        assert profile.interior_entangling
+        assert bounds == []
+
+    # 8e307: the partial traces overflow and the bound is NaN.
+    @pytest.mark.parametrize("scale", [1e300, 8e307])
+    def test_huge_generator_uncertified_without_warnings(self, fits, bounds, scale):
+        path = path_from_generator(scale * np.eye(6), 2, 3)
+        profile = entanglement_profile(path, np.eye(3)[0], n_steps=64)
+        assert [pt.verdict for pt in profile.points] == ["product"] * 65
+        assert len(bounds) == 1 and not bounds[0][1] < witness_margin(DEFAULT_TOL)
+        assert len(fits) == 2 * 65
 
     def test_input_ids_stable_under_degenerate_eigenbasis_change(self):
         path = geodesic_path(swap_unitary(3), 3, 3)

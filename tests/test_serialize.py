@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from entkit.bipartite import BipartiteSpace, PureState, schmidt
 from entkit.errors import DimensionError
@@ -123,6 +124,20 @@ class TestStateAndPovmJson:
         assert back.pointer.outcomes == s.pointer.outcomes
 
 
+# JSON-like values: scalars (NaN, ±inf and -0.0 among the floats, numpy
+# float64, non-ASCII strings), flat float lists, and lists, tuples and
+# string- or integer-keyed dicts of them.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.floats().map(np.float64) | st.text()
+JSON_VALUES = st.recursive(
+    _SCALARS | st.lists(st.floats(), min_size=1),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.integers(), children),
+    max_leaves=20,
+)
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_round_trip_floats(self):
         text = canonical_json({"b": 0.1 + 0.2, "a": 1 / 3})
@@ -134,6 +149,22 @@ class TestCanonicalJson:
     def test_deterministic(self):
         obj = matrix_to_json(haar_unitary(4, 77))
         assert canonical_json(obj) == canonical_json(matrix_to_json(haar_unitary(4, 77)))
+
+    @given(JSON_VALUES)
+    @example(
+        {
+            "nan": [float("nan"), 1.0],
+            "inf": [2.5, float("inf"), -float("inf")],
+            "zero": [-0.0, 0.0],
+            "empty": [[], {}, ()],
+            "tuple": (0.5, 1.5),
+            "mixed": [1, 2.0, True, None, "ü"],
+            "numpy": [np.float64(0.25), 0.75],
+            "ключ": {"nested": [[0.125] * 20, "x\ny"]},
+        }
+    )
+    def test_same_bytes_as_json_dumps(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 class TestWriteAtomic:
