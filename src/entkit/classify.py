@@ -38,6 +38,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
+    gram_defect,
     probe_grid,
     probe_states,
     require_unit,
@@ -231,23 +232,14 @@ def _unitarity_bound(form: Product | SwapForm) -> float:
     the product whose residual the fit measured.
     """
     x, y = (form.v, form.w) if isinstance(form, Product) else (form.v21, form.w12)
-    (a, nx2), (b, ny2) = _gram_defect(x), _gram_defect(y)
+    a, b = gram_defect(x), gram_defect(y)
+    nx2, ny2 = np.vdot(x, x).real, np.vdot(y, y).real
     dx, dy = len(x), len(y)
     a += 4 * dx * _EPS * nx2
     b += 4 * dy * _EPS * ny2
     r = form.residual + 16 * _EPS * (math.sqrt(nx2 * ny2) + form.residual)
     product_defect = math.sqrt(dy) * a + math.sqrt(dx) * b + a * b
     return product_defect + 2 * math.sqrt((1 + a) * (1 + b)) * r + r * r
-
-
-def _gram_defect(z: np.ndarray) -> tuple[float, float]:
-    """(||z^†z - I||_F, ||z||_F²) of a small factor from one Gram matrix, the
-    identity subtracted in place; vdot, not np.linalg.norm, whose call
-    overhead would dominate at the d ~ 2 of most calls."""
-    g = z.conj().T @ z
-    sq_norm = g.trace().real
-    g.flat[:: len(g) + 1] -= 1
-    return math.sqrt(np.vdot(g, g).real), sq_norm
 
 
 def _swap_columns(u: np.ndarray, d: int) -> np.ndarray:
@@ -351,13 +343,16 @@ def _grid_hit(u: np.ndarray, d1: int, d2: int, margin: float) -> tuple[int, int,
     """
     left, right = probe_grid(d1)[1], probe_grid(d2)[1]
     n1, n2 = left.shape[0], right.shape[0]
-    u3 = u.reshape(d1 * d2, d1, d2)
+    dim = d1 * d2
+    # U[r, (i, k)] copied to the (d1, D·d2) matrix M[i, (r, k)]: a block of
+    # left rows is then one gemm, whose row p reshapes to row p's slice map.
+    u_left = u.reshape(dim, d1, d2).transpose(1, 0, 2).reshape(d1, dim * d2)
     block = max(2, _BATCH_CAP // n2)
     for p0 in range(0, n1, block):
         first = min(p0, n1 - 2)
-        partial = left[first : p0 + block] @ u3
+        partial = (left[first : p0 + block] @ u_left).reshape(-1, dim, d2)
         for p in range(p0, min(p0 + block, n1)):
-            b = partial[:, p - first]
+            b = partial[p - first]
             hit = _first_hit(lambda i, j: b.T[i:j], 1, d1, d2, margin)
             if hit is None and not _row_certified(b, b[:, 0].reshape(d1, d2), d1, d2, margin):
                 hit = _first_hit(lambda i, j: right[i:j] @ b.T, n2, d1, d2, margin, start=1)

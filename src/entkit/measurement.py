@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
+    gram_defect,
     probe_states,
     require_unit,
     require_unitary,
@@ -167,9 +168,9 @@ class Instrument:
         return DensityOperator(self.dim, self.apply(rho.mat[None])[0].sum(axis=0))
 
     def trace_preservation_defect(self) -> float:
-        """||sum K^†K - I||_F, one gemm over the concatenated Kraus operators."""
-        rows = self.kraus.reshape(-1, self.dim)
-        return frobenius(rows.conj().T @ rows - np.eye(self.dim))
+        """||sum K^†K - I||_F, the Gram defect of the Kraus operators stacked
+        as one tall matrix: sum K^†K is its Gram matrix."""
+        return gram_defect(self.kraus.reshape(-1, self.dim))
 
 
 @dataclass(frozen=True)

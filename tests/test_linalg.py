@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from entkit.classify import classify_slice, classify_unitary
+from entkit.cli import main
 from entkit.dynamics import geodesic_path
 from entkit.errors import DimensionError, NonUnitaryError
 from entkit.fixtures import projective_povm
@@ -14,6 +15,7 @@ from entkit.linalg import (
     Tolerance,
     adjoint,
     exp_i_hermitian,
+    gram_defect,
     haar_unitary,
     is_unitary,
     probe_grid,
@@ -29,6 +31,7 @@ from entkit.linalg import (
     unitary_log,
 )
 from entkit.measurement import MeasurementScheme
+from entkit.serialize import canonical_json, matrix_to_json
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -187,6 +190,98 @@ class TestIsUnitary:
         defect = unitarity_defect(m)
         assert abs(defect - np.linalg.norm(m @ m.conj().T - eye)) < 1e-12 * defect
         assert abs(defect - np.linalg.norm(m.conj().T @ m - eye)) < 1e-12 * defect
+
+
+def _dense_gram_defect(z):
+    return float(np.linalg.norm(z.conj().T @ z - np.eye(z.shape[1])))
+
+
+def _gram_rounding(z, ref):
+    """How far the panel and dense defects of z may differ: each is within
+    gamma_m·||Z||_F² of the exact one (unitarity_defect's docstring), plus
+    the relative rounding, below n²·eps, of summing the n² squared entries."""
+    m, n = z.shape
+    eps = np.finfo(float).eps
+    gamma = m * eps / (1 - m * eps)
+    return 2 * gamma * np.vdot(z, z).real + 2 * n * n * eps * ref
+
+
+def _haar_with_defect(d, seed, target):
+    """A Haar unitary whose column 0 is scaled by sqrt(1 + target): U^†U - I
+    is then target at (0, 0) and 0 elsewhere."""
+    u = haar_unitary(d, seed)
+    u[:, 0] *= np.sqrt(1 + target)
+    return u
+
+
+class TestGramDefect:
+    @pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 257, 300])
+    def test_matches_dense_reference(self, d):
+        rng = np.random.default_rng(d)
+        near = haar_unitary(d, d) + 1e-6 * rng.standard_normal((d, d))
+        far = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(d)
+        for z in (near, far):
+            ref = _dense_gram_defect(z)
+            assert ref > 0
+            assert abs(unitarity_defect(z) - ref) <= _gram_rounding(z, ref)
+
+    @pytest.mark.parametrize("shape", [(700, 200), (300, 129)])
+    def test_tall_matches_dense_reference(self, shape):
+        # A stack of Kraus rows is tall: its Gram matrix is sum K^†K.
+        rng = np.random.default_rng(shape[1])
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        isometry = np.linalg.qr(z)[0]
+        for m in (z / np.sqrt(shape[0]), isometry):
+            ref = _dense_gram_defect(m)
+            assert abs(gram_defect(m) - ref) <= _gram_rounding(m, ref)
+
+    @pytest.mark.parametrize("d", [129, 300])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_accepts_and_refuses_as_dense(self, d, scale):
+        tol = Tolerance()
+        u = _haar_with_defect(d, d + 1, scale * tol.eps)
+        accepted = _dense_gram_defect(u) <= tol.eps
+        assert accepted == (scale < 1)
+        assert is_unitary(u, tol) == accepted
+        if not accepted:
+            with pytest.raises(NonUnitaryError):
+                require_unitary(u, tol, "input")
+
+    @pytest.mark.parametrize("d", [4, 129, 300])
+    def test_overflow_is_silent(self, d):
+        for u in (1e200 * np.eye(d), 1e160 * haar_unitary(d, d)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                defect = unitarity_defect(u)
+            assert np.isnan(defect) or np.isinf(defect)
+
+    @pytest.mark.parametrize("scaled", ["identity", "haar"])
+    def test_overflowing_input_exits_3(self, scaled, tmp_path, capsys):
+        # D = 144: two column panels.
+        u = 1e200 * np.eye(144) if scaled == "identity" else 1e160 * haar_unitary(144, 5)
+        path = tmp_path / "u.json"
+        path.write_text(canonical_json(matrix_to_json(u)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", str(path), "--dims", "12", "12"]) == 3
+        assert "input is not unitary" in capsys.readouterr().err
+
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionError):
+            unitarity_defect(np.ones((300, 129)))
+
+    def test_peak_memory_is_a_fraction_of_u(self):
+        # A dense U^†U - I needs about 2 U beside U (a conjugated copy and the
+        # product); the panels need one conjugated (D, 128) panel and one
+        # (128, D) product, whatever U's entries.
+        u = np.eye(1024, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            unitarity_defect(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * u.nbytes
 
 
 class TestUnitaryLog:
