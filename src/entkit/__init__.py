@@ -8,20 +8,14 @@ that must build up along any continuous path reaching a swap coupling.
 
 # The single version string: pyproject reads it, and reports embed it. It
 # is bumped whenever reports for a given seed can change.
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .bipartite import (
     BipartiteSpace,
     DensityOperator,
     PureState,
-    SchmidtDecomposition,
     entanglement_entropies,
-    entanglement_entropy,
-    is_product,
-    partial_trace,
     product_state,
-    schmidt,
-    schmidt_rank,
     schmidt_ranks,
     trace_distance,
 )
@@ -36,7 +30,6 @@ from .classify import (
     classify_slice,
     classify_unitary,
     operator_entanglement,
-    operator_schmidt_rank,
     realign,
 )
 from .dynamics import (
@@ -51,13 +44,10 @@ from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     Tolerance,
-    adjoint,
     haar_unitary,
-    is_unitary,
     random_state,
     swap_unitary,
     tensor_product,
-    unitary_log,
 )
 from .measurement import (
     Instrument,

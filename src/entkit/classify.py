@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, PureState, _fix_phase, product_state, schmidt_ranks
+from .bipartite import BipartiteSpace, PureState, product_state, schmidt_ranks
 from .errors import (
     DimensionError,
     SliceHypothesisError,
@@ -136,14 +136,6 @@ def realign(u: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return u.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
 
 
-def operator_schmidt_rank(
-    u: np.ndarray, d1: int, d2: int, tol: Tolerance = DEFAULT_TOL
-) -> int:
-    """Rank of the realignment; singular values count when > tol.eps * sigma_max."""
-    s = np.linalg.svd(realign(u, d1, d2), compute_uv=False)
-    return int(np.count_nonzero(s > tol.eps * s[0]))
-
-
 def operator_entanglement(u: np.ndarray, d1: int, d2: int) -> float:
     """Operator entanglement (Zanardi, Zalka, Faoro, quant-ph/0005031) scaled
     by n², not D², so that scaling u leaves it alone: E = 1 - ||G||_F² / n²,
@@ -215,6 +207,36 @@ def _rank_one_fit(
     v_raw = a.reshape(d1, d1)
     alpha = np.sqrt(d1) / frobenius(v_raw)
     return residual, v_raw * alpha, w.reshape(d2, d2) / alpha
+
+
+def _fix_phase(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Make a's first entry with modulus > tol.eps (row-major) real positive,
+    exactly its modulus; b takes the opposite phase, so the outer product of
+    a and b is unchanged. The phase convention of the factors of every form,
+    Product, SwapForm and classify_slice's alike.
+
+    The rotations are done in real arithmetic, so factor pairs that differ
+    by an exact unit phase (g a, b / g), g in {±1, ±i}, come out bit-identical.
+    """
+    flat = a.ravel()
+    big = np.flatnonzero(np.abs(flat) > tol.eps)
+    if not big.size:
+        return a, b
+    pivot = flat[big[0]]
+    modulus = abs(pivot)
+    c, s = pivot.real / modulus, pivot.imag / modulus
+    a_out = _rotate(a, c, -s)
+    a_out.flat[big[0]] = modulus
+    return a_out, _rotate(b, c, s)
+
+
+def _rotate(z: np.ndarray, c: float, s: float) -> np.ndarray:
+    """z * (c + i s) from separate real products and sums; a complex multiply
+    may fuse them, which makes the rounding depend on the operand order."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = z.real * c - z.imag * s
+    out.imag = z.real * s + z.imag * c
+    return out
 
 
 def _unitarity_bound(form: Product | SwapForm) -> float:

@@ -29,7 +29,7 @@ from .classify import (
     classify_unitary,
     witness_margin,
 )
-from .dynamics import entanglement_profile, geodesic_path
+from .dynamics import entanglement_profile, geodesic_path, require_probe_init
 from .errors import (
     DimensionError,
     InvalidPOVMError,
@@ -204,12 +204,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    # A tol no witness can beat is refused before the endpoint's eigendecomposition.
+    # A tol no witness can beat, and a probe vector the profile would refuse,
+    # are refused before the endpoint's eigendecomposition.
     witness_margin(args.tol)
     d1, d2 = args.dims
     u = _load(args.input, matrix_from_json, "matrix")
     if args.probe_init:
         probe_init = _load(args.probe_init, vector_from_json, "vector")
+        require_probe_init(probe_init, d2, args.tol)
     else:
         probe_init = np.eye(d2)[0]
     path = geodesic_path(u, d1, d2, args.tol)

@@ -112,6 +112,18 @@ class EntanglementProfile:
         return max(self.points, key=lambda pt: pt.max_entropy_bits)
 
 
+def require_probe_init(probe_init: np.ndarray, d2: int, tol: Tolerance) -> np.ndarray:
+    """probe_init as a vector, after the checks entanglement_profile makes on
+    it: DimensionError unless it has d2 entries, NormalizationError unless
+    its norm is within tol.eps of 1. O(d2), so a caller can run them before
+    any work on the path."""
+    probe_init = as_vector(probe_init)
+    if probe_init.size != d2:
+        raise DimensionError(f"probe_init dimension {probe_init.size} != d2 {d2}")
+    require_unit(probe_init, tol, "probe_init")
+    return probe_init
+
+
 def profile_inputs(
     d1: int, d2: int, probe_init: np.ndarray, seed: int, n_inputs: int
 ) -> tuple[list[str], np.ndarray]:
@@ -258,11 +270,8 @@ def entanglement_profile(
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps, got {n_steps}")
     margin = witness_margin(tol)
-    probe_init = as_vector(probe_init)
     d1, d2 = p.space.d1, p.space.d2
-    if probe_init.size != d2:
-        raise DimensionError(f"probe_init dimension {probe_init.size} != d2 {d2}")
-    require_unit(probe_init, tol, "probe_init")
+    probe_init = require_probe_init(probe_init, d2, tol)
     # One check for every U_t = V e^{itw} V^† (w, V the path's phases, vectors):
     # with E = V^†V - I, δ = ||E||_F, U_t^†U_t - I = (VV^† - I) + V e^{-itw} E e^{itw} V^†,
     # where VV^† - I has the norm of E and ||V||² <= 1 + δ, so each defect is <= δ(2 + δ).

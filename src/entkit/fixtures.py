@@ -9,9 +9,7 @@ from .linalg import haar_unitary, rng_from_seed, split_seed, swap_unitary, tenso
 from .measurement import POVM
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
 def cnot(control_on_object: bool = True) -> np.ndarray:

@@ -104,16 +104,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose. Involutive exactly: adjoint(adjoint(a)) == a."""
-    return as_matrix(a).conj().T
-
-
-def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the square matrix u has unitarity defect within tol.eps."""
-    return unitarity_defect(u) <= tol.eps
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """||U^†U - I||_F of a square U, or inf or NaN, silently, if U^†U
     overflows; equal to ||UU^† - I||_F, since both are the norm of
@@ -122,8 +112,8 @@ def unitarity_defect(u: np.ndarray) -> float:
     gram_defect forms only the upper block triangle of U^†U. Split U into
     column panels P_0, ..., P_{k-1} of _GRAM_PANEL columns (the last may be
     narrower); block (i, j) of G = U^†U - I is P_i^†P_j - δ_ij·I. G is
-    Hermitian, so block (j, i) is the adjoint of block (i, j), and a matrix
-    and its adjoint have the same Frobenius norm, the sum of the same squared
+    Hermitian, so block (j, i) is the conjugate transpose of block (i, j),
+    and the two have the same Frobenius norm, the sum of the same squared
     moduli. Summing ||G||_F² by blocks therefore gives
     ||G||_F² = Σ_i ||P_i^†P_i - I||_F² + 2·Σ_{i<j} ||P_i^†P_j||_F²,
     which needs P_i^†P_i (the identity subtracted in place) and
@@ -134,12 +124,12 @@ def unitarity_defect(u: np.ndarray) -> float:
 
     Rounding: a computed entry of P_i^†P_j, a D-term inner product of columns
     a and b, is within γ_D·||u_a||·||u_b|| of the exact one
-    (γ_D = D·eps/(1 - D·eps)). The computed upper blocks with their adjoints
-    below are therefore G + E for an E with ||E||_F <= γ_D·||U||_F², the
-    bound the dense product meets too; the defect is within that (plus the
-    relative rounding of the sums of squares, below D²·eps) of the exact
-    ||G||_F, and within twice it of the dense computation. For a unitary U,
-    ||U||_F² = D.
+    (γ_D = D·eps/(1 - D·eps)). The computed upper blocks with their conjugate
+    transposes below are therefore G + E for an E with
+    ||E||_F <= γ_D·||U||_F², the bound the dense product meets too; the
+    defect is within that (plus the relative rounding of the sums of
+    squares, below D²·eps) of the exact ||G||_F, and within twice it of the
+    dense computation. For a unitary U, ||U||_F² = D.
     """
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
@@ -211,14 +201,6 @@ def unitary_eig(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray
     _, z = np.linalg.eigh((k + k.conj().T) / 2)
     theta = np.angle(np.einsum("ij,ij->j", z.conj(), u @ z))
     return np.where(theta <= -np.pi + 1e-12, theta + 2 * np.pi, theta), z
-
-
-def unitary_log(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian H = z diag(theta) z^† with exp(iH) == u, (theta, z) from unitary_eig;
-    H does not depend on the basis chosen in degenerate eigenspaces."""
-    theta, z = unitary_eig(u, tol)
-    h = (z * theta) @ z.conj().T
-    return (h + h.conj().T) / 2
 
 
 def exp_i_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -36,7 +36,8 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class POVM:
-    """Finite-outcome POVM, its effects one read-only (n_outcomes, dim, dim) array."""
+    """Finite-outcome POVM, its effects one read-only (n_outcomes, dim, dim)
+    array; its labels are distinct strings."""
 
     dim: int
     outcomes: tuple[str, ...]
@@ -45,6 +46,9 @@ class POVM:
     def __post_init__(self):
         if len(self.outcomes) != len(self.effects) or not len(self.outcomes):
             raise InvalidPOVMError("need one effect per outcome label")
+        outcomes = tuple(str(o) for o in self.outcomes)
+        if len(set(outcomes)) != len(outcomes):
+            raise InvalidPOVMError(f"outcome labels must be distinct, got {list(outcomes)}")
         effects = [as_matrix(e) for e in self.effects]
         for e in effects:
             if e.shape != (self.dim, self.dim):
@@ -52,7 +56,7 @@ class POVM:
         effects = np.stack(effects)
         effects.flags.writeable = False
         object.__setattr__(self, "effects", effects)
-        object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
+        object.__setattr__(self, "outcomes", outcomes)
 
 
 def validate_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, dict]:
@@ -177,9 +181,6 @@ class Instrument:
 class OutcomeDistribution:
     labels: tuple[str, ...]
     probabilities: np.ndarray
-
-    def as_dict(self) -> dict[str, float]:
-        return {l: float(p) for l, p in zip(self.labels, self.probabilities)}
 
 
 def swap_scheme(e: POVM, phi0: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MeasurementScheme:

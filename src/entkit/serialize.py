@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, PureState, SchmidtDecomposition
+from .bipartite import PureState
 from .errors import DimensionError
 from .linalg import as_matrix, as_vector
 from .measurement import MeasurementScheme, POVM
@@ -89,19 +89,6 @@ def state_to_json(psi: PureState) -> dict:
         "d1": psi.space.d1,
         "d2": psi.space.d2,
         "vec": vector_to_json(psi.vec),
-    }
-
-
-def state_from_json(obj: dict) -> PureState:
-    space = BipartiteSpace(_int_field(obj, "d1"), _int_field(obj, "d2"))
-    return PureState(space, vector_from_json(obj["vec"]))
-
-
-def schmidt_to_json(dec: SchmidtDecomposition) -> dict:
-    return {
-        "coeffs": [float(c) for c in dec.coeffs],
-        "left": [vector_to_json(v) for v in dec.left],
-        "right": [vector_to_json(v) for v in dec.right],
     }
 
 

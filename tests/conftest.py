@@ -8,7 +8,7 @@ import pytest
 def realignment_svds(monkeypatch):
     """Shapes of the 2-D SVDs run while the test runs.
 
-    A realignment SVD, as in operator_schmidt_rank, is 2-D. The witness
+    An SVD of the realignment R(U), which no verdict needs, is 2-D. The witness
     search (each grid row's image 0 included) and the batched entropies run
     stacked 3-D SVDs, which are not counted, and np.linalg.norm(x, 2) does
     not call the patched attribute, so classify_unitary and

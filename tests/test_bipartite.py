@@ -8,18 +8,14 @@ from entkit.bipartite import (
     BipartiteSpace,
     DensityOperator,
     PureState,
-    _fix_phase,
     entanglement_entropies,
-    entanglement_entropy,
-    is_product,
-    partial_trace,
     product_state,
-    schmidt,
-    schmidt_rank,
+    schmidt_coefficients,
     schmidt_ranks,
     trace_distance,
     trace_distances,
 )
+from entkit.classify import _fix_phase
 from entkit.errors import DimensionError, NormalizationError
 from entkit.fixtures import cnot
 from entkit.linalg import Tolerance, haar_unitary, random_state, tensor_product
@@ -29,10 +25,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 E2 = np.eye(2)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def bell_state() -> PureState:
-    return PureState(BipartiteSpace(2, 2), BELL)
+S22 = BipartiteSpace(2, 2)
 
 
 def random_pure(d1, d2, seed) -> PureState:
@@ -50,27 +43,40 @@ class TestPureState:
         assert psi.vec[1 * 3 + 2] == 1.0
 
 
+def schmidt_terms(psi: PureState) -> tuple[np.ndarray, tuple, tuple]:
+    """schmidt_coefficients of psi with the SVD's vector pairs, each pair
+    under the factors' phase convention (_fix_phase)."""
+    u, _, vh = np.linalg.svd(psi.vec.reshape(psi.space.d1, psi.space.d2))
+    rank = min(psi.space.d1, psi.space.d2)
+    left, right = zip(*(_fix_phase(u[:, k], vh[k], Tolerance()) for k in range(rank)))
+    return schmidt_coefficients(psi.space, psi.vec[None])[0], left, right
+
+
+def reconstruct(coeffs, left, right) -> np.ndarray:
+    return sum(c * np.kron(a, b) for c, a, b in zip(coeffs, left, right))
+
+
 class TestSchmidt:
     def test_basis_product(self):
         psi = product_state(E2[0], E2[1])
-        dec = schmidt(psi)
-        np.testing.assert_allclose(dec.coeffs, [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(dec.left[0], E2[0], atol=1e-15)
-        np.testing.assert_allclose(dec.right[0], E2[1], atol=1e-15)
+        coeffs, left, right = schmidt_terms(psi)
+        np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(left[0], E2[0], atol=1e-15)
+        np.testing.assert_allclose(right[0], E2[1], atol=1e-15)
 
     def test_bell(self):
-        dec = schmidt(bell_state())
-        np.testing.assert_allclose(dec.coeffs, [1 / np.sqrt(2)] * 2, atol=1e-15)
+        coeffs = schmidt_coefficients(S22, BELL[None])[0]
+        np.testing.assert_allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-15)
 
     def test_random_3x4_seed_9(self):
         psi = random_pure(3, 4, 9)
-        dec = schmidt(psi)
-        assert np.linalg.norm(dec.reconstruct() - psi.vec) < 1e-10
-        assert abs((dec.coeffs**2).sum() - 1.0) < 1e-12
+        coeffs, left, right = schmidt_terms(psi)
+        assert np.linalg.norm(reconstruct(coeffs, left, right) - psi.vec) < 1e-10
+        assert abs((coeffs**2).sum() - 1.0) < 1e-12
 
     def test_orthonormal_systems(self):
-        dec = schmidt(random_pure(4, 3, 2))
-        for vecs in (dec.left, dec.right):
+        _, left, right = schmidt_terms(random_pure(4, 3, 2))
+        for vecs in (left, right):
             gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
             assert np.linalg.norm(gram - np.eye(len(vecs))) < 1e-12
 
@@ -78,53 +84,51 @@ class TestSchmidt:
     @settings(max_examples=40, deadline=None)
     def test_reconstruction_property(self, seed, dims):
         psi = random_pure(*dims, seed)
-        dec = schmidt(psi)
-        assert np.linalg.norm(dec.reconstruct() - psi.vec) < 1e-10
+        assert np.linalg.norm(reconstruct(*schmidt_terms(psi)) - psi.vec) < 1e-10
 
     def test_reconstruction_sweep_200_seeds(self):
         dims = [(2, 2), (2, 8), (8, 2), (4, 5), (8, 8)]
         for seed in range(200):
             psi = random_pure(*dims[seed % len(dims)], seed)
-            dec = schmidt(psi)
-            assert np.linalg.norm(dec.reconstruct() - psi.vec) < 1e-10
+            assert np.linalg.norm(reconstruct(*schmidt_terms(psi)) - psi.vec) < 1e-10
 
 
 class TestSchmidtRank:
     def test_product(self):
-        assert schmidt_rank(product_state(E2[0], E2[0])) == 1
+        assert schmidt_ranks(S22, np.kron(E2[0], E2[0])[None]).tolist() == [1]
 
     def test_bell(self):
-        assert schmidt_rank(bell_state()) == 2
+        assert schmidt_ranks(S22, BELL[None]).tolist() == [2]
 
     def test_cnot_on_plus(self):
         plus = (E2[0] + E2[1]) / np.sqrt(2)
         image = cnot() @ np.kron(plus, E2[0])
-        assert schmidt_rank(PureState(BipartiteSpace(2, 2), image)) == 2
+        assert schmidt_ranks(S22, image[None]).tolist() == [2]
 
     def test_stack_matches_per_state_rank(self):
         space = BipartiteSpace(2, 3)
-        states = [product_state(random_state(2, s), random_state(3, s + 1)) for s in range(5)]
-        states += [PureState(space, random_state(6, s)) for s in range(5)]
-        vecs = np.stack([psi.vec for psi in states])
-        ranks = schmidt_ranks(space, vecs)
-        assert ranks.tolist() == [schmidt_rank(psi) for psi in states] == [1] * 5 + [2] * 5
+        states = [product_state(random_state(2, s), random_state(3, s + 1)).vec for s in range(5)]
+        states += [random_state(6, s) for s in range(5)]
+        ranks = schmidt_ranks(space, np.stack(states))
+        one_by_one = [int(schmidt_ranks(space, vec[None])[0]) for vec in states]
+        assert ranks.tolist() == one_by_one == [1] * 5 + [2] * 5
 
     def test_stack_needs_no_unit_norm(self):
         # Images of a coupling unitary only within tol are tested as they are.
         vecs = np.stack([np.kron(E2[0], E2[1]) * 1.01, (np.eye(4)[0] + np.eye(4)[3]) * 3])
-        assert schmidt_ranks(BipartiteSpace(2, 2), vecs).tolist() == [1, 2]
+        assert schmidt_ranks(S22, vecs).tolist() == [1, 2]
 
 
 class TestIsProduct:
     def test_basis_product(self):
-        ok, factors = is_product(product_state(E2[1], E2[0]))
-        assert ok
-        np.testing.assert_allclose(factors[0], E2[1], atol=1e-15)
-        np.testing.assert_allclose(factors[1], E2[0], atol=1e-15)
+        psi = product_state(E2[1], E2[0])
+        assert schmidt_ranks(S22, psi.vec[None]).tolist() == [1]
+        _, left, right = schmidt_terms(psi)
+        np.testing.assert_allclose(left[0], E2[1], atol=1e-15)
+        np.testing.assert_allclose(right[0], E2[0], atol=1e-15)
 
     def test_bell_not_product(self):
-        ok, factors = is_product(bell_state())
-        assert not ok and factors is None
+        assert schmidt_ranks(S22, BELL[None]).tolist() != [1]
 
     def test_haar_rotated_product_seed_3(self):
         v = haar_unitary(3, 3)
@@ -132,18 +136,17 @@ class TestIsProduct:
         psi = PureState(
             BipartiteSpace(3, 4), tensor_product(v, w) @ np.kron(np.eye(3)[0], np.eye(4)[0])
         )
-        ok, factors = is_product(psi)
-        assert ok
-        np.testing.assert_allclose(np.kron(factors[0], factors[1]), psi.vec, atol=1e-12)
+        assert schmidt_ranks(psi.space, psi.vec[None]).tolist() == [1]
+        _, left, right = schmidt_terms(psi)
+        np.testing.assert_allclose(np.kron(left[0], right[0]), psi.vec, atol=1e-12)
 
     def test_left_factor_phase_convention(self):
-        psi = PureState(BipartiteSpace(2, 2), np.exp(0.7j) * np.kron(E2[1], E2[0]))
-        ok, factors = is_product(psi)
-        assert ok
-        first = factors[0][np.flatnonzero(np.abs(factors[0]) > 1e-9)[0]]
-        assert first.real > 0 and abs(first.imag) < 1e-12
+        vec = np.exp(0.7j) * np.kron(E2[1], E2[0])
+        a, b = _fix_phase(np.exp(0.7j) * E2[1], E2[0].astype(complex), Tolerance())
+        first = a[np.flatnonzero(np.abs(a) > 1e-9)[0]]
+        assert first.real > 0 and first.imag == 0.0
         # compensating phase lives in the right factor
-        np.testing.assert_allclose(np.kron(factors[0], factors[1]), psi.vec, atol=1e-12)
+        np.testing.assert_allclose(np.kron(a, b), vec, atol=1e-15)
 
 
 class TestPhaseConvention:
@@ -165,72 +168,50 @@ class TestPhaseConvention:
             assert canonical_json(matrix_to_json(x)) == canonical_json(matrix_to_json(y))
 
 
-class TestPartialTrace:
-    def test_product_marginal(self):
-        rho1 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-        rho2 = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
-        joint = DensityOperator(4, tensor_product(rho1, rho2))
-        out = partial_trace(joint, BipartiteSpace(2, 2), keep=1)
-        np.testing.assert_allclose(out.mat, rho1, atol=1e-14)
-
-    def test_bell_marginal_maximally_mixed(self):
-        rho = DensityOperator.from_pure(BELL)
-        out = partial_trace(rho, BipartiteSpace(2, 2), keep=1)
-        np.testing.assert_allclose(out.mat, np.eye(2) / 2, atol=1e-14)
-
-    def test_marginal_spectra_agree_seed_4(self):
-        psi = random_pure(3, 5, 4)
-        rho = DensityOperator.from_pure(psi.vec)
-        s1 = np.linalg.eigvalsh(partial_trace(rho, psi.space, 1).mat)
-        s2 = np.linalg.eigvalsh(partial_trace(rho, psi.space, 2).mat)
-        np.testing.assert_allclose(s1, s2[-3:], atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            partial_trace(DensityOperator(4, np.eye(4) / 4), BipartiteSpace(2, 3), 1)
-
-
 class TestEntanglementEntropy:
     def test_product_zero(self):
-        h = entanglement_entropy(product_state(E2[0], E2[1]))
+        (h,) = entanglement_entropies(BipartiteSpace(2, 2), product_state(E2[0], E2[1]).vec[None])
         assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_bell_one_bit(self):
-        assert abs(entanglement_entropy(bell_state()) - 1.0) < 1e-12
+        (h,) = entanglement_entropies(BipartiteSpace(2, 2), BELL[None])
+        assert abs(h - 1.0) < 1e-12
 
     def test_09_01_split(self):
         vec = np.sqrt(0.9) * np.kron(E2[0], E2[0]) + np.sqrt(0.1) * np.kron(E2[1], E2[1])
-        psi = PureState(BipartiteSpace(2, 2), vec)
         expected = -(0.9 * np.log2(0.9) + 0.1 * np.log2(0.1))
         assert abs(expected - 0.4689955935892812) < 1e-15
-        assert abs(entanglement_entropy(psi) - expected) < 1e-12
+        (h,) = entanglement_entropies(BipartiteSpace(2, 2), vec[None])
+        assert abs(h - expected) < 1e-12
 
     def test_bounded_by_log_min_dim(self):
-        for seed in range(20):
-            psi = random_pure(3, 5, seed)
-            assert 0.0 <= entanglement_entropy(psi) <= np.log2(3) + 1e-12
+        vecs = np.stack([random_state(15, seed) for seed in range(20)])
+        h = entanglement_entropies(BipartiteSpace(3, 5), vecs)
+        assert np.all((0.0 <= h) & (h <= np.log2(3) + 1e-12))
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
     def test_local_unitary_invariance(self, seed):
-        psi = random_pure(3, 3, seed)
+        vec = random_state(9, seed)
         v = haar_unitary(3, seed + 1)
         w = haar_unitary(3, seed + 2)
-        rotated = PureState(psi.space, tensor_product(v, w) @ psi.vec)
-        assert abs(entanglement_entropy(rotated) - entanglement_entropy(psi)) < 1e-10
+        vecs = np.stack([vec, tensor_product(v, w) @ vec])
+        h, rotated = entanglement_entropies(BipartiteSpace(3, 3), vecs)
+        assert abs(rotated - h) < 1e-10
 
     def test_agrees_with_is_product(self):
-        tol = Tolerance()
-        states = [product_state(E2[0], E2[1]), bell_state()]
-        states += [random_pure(2, 3, s) for s in range(20)]
-        states += [
-            product_state(random_state(2, s), random_state(3, s + 100)) for s in range(20)
+        # entropy of a state with second Schmidt coefficient eps is bounded
+        # by the binary entropy scale of eps^2
+        products = [np.kron(random_state(2, s), random_state(3, s + 100)) for s in range(20)]
+        cases = [
+            (BipartiteSpace(2, 2), [product_state(E2[0], E2[1]).vec, BELL]),
+            (BipartiteSpace(2, 3), [random_state(6, s) for s in range(20)] + products),
         ]
-        for psi in states:
-            ok, _ = is_product(psi, tol)
-            # entropy of a state with second Schmidt coefficient eps is
-            # bounded by the binary entropy scale of eps^2
-            assert ok == (entanglement_entropy(psi) < 1e-15)
+        for space, states in cases:
+            vecs = np.stack(states)
+            np.testing.assert_array_equal(
+                schmidt_ranks(space, vecs) == 1, entanglement_entropies(space, vecs) < 1e-15
+            )
 
 
 class TestEntanglementEntropies:
@@ -240,7 +221,7 @@ class TestEntanglementEntropies:
         space = BipartiteSpace(3, 4)
         batch = entanglement_entropies(space, np.stack(states))
         for h, vec in zip(batch, states):
-            assert abs(h - entanglement_entropy(PureState(space, vec))) <= 1e-15
+            assert abs(h - entanglement_entropies(space, vec[None])[0]) <= 1e-15
 
     def test_product_and_bell(self):
         pair = np.stack([product_state(E2[0], E2[1]).vec, BELL])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit import classify
-from entkit.bipartite import BipartiteSpace, PureState, is_product, schmidt_rank
+from entkit.bipartite import BipartiteSpace, schmidt_ranks
 from entkit.classify import (
     Entangling,
     LocalOnObject,
@@ -17,7 +17,6 @@ from entkit.classify import (
     classify_slice,
     classify_unitary,
     operator_entanglement,
-    operator_schmidt_rank,
     realign,
     reconstruction_error,
 )
@@ -86,14 +85,17 @@ class TestRealign:
 
 
 class TestOperatorSchmidtRank:
+    """Inputs whose r nonzero realignment singular values are equal have
+    operator entanglement 1 - 1/r: the operator Schmidt rank, read off E."""
+
     def test_identity(self):
-        assert operator_schmidt_rank(np.eye(4), 2, 2) == 1
+        assert operator_entanglement(np.eye(4), 2, 2) == 0.0
 
     def test_swap_is_full_rank(self):
-        assert operator_schmidt_rank(swap_unitary(2), 2, 2) == 4
+        assert operator_entanglement(swap_unitary(2), 2, 2) == 0.75
 
     def test_cnot(self):
-        assert operator_schmidt_rank(cnot(), 2, 2) == 2
+        assert operator_entanglement(cnot(), 2, 2) == 0.5
 
 
 class TestClassifyUnitary:
@@ -115,7 +117,7 @@ class TestClassifyUnitary:
         assert isinstance(form, Entangling)
         plus = (E2[0] + E2[1]) / np.sqrt(2)
         np.testing.assert_allclose(form.input.vec, np.kron(plus, E2[0]), atol=1e-12)
-        assert schmidt_rank(form.witness) == 2
+        assert schmidt_ranks(form.witness.space, form.witness.vec[None]).tolist() == [2]
         assert form.second_coeff > 1e-8
 
     def test_witness_image_normalized_within_tol(self):
@@ -317,7 +319,8 @@ class TestCertificates:
             verdicts.add(form.verdict)
             if isinstance(form, Entangling):
                 image = u @ form.input.vec
-                assert is_product(form.input, tol)[0], label
+                inp = form.input
+                assert schmidt_ranks(inp.space, inp.vec[None], tol).tolist() == [1], label
                 assert np.linalg.svd(image.reshape(d, d), compute_uv=False)[1] > margin, label
                 assert form.second_coeff > margin, label
             else:
@@ -596,22 +599,22 @@ class TestClassifySlice:
 def _vote_classify_slice(u, d1, d2, phi0, tol):
     """The vote-based slice classifier of entkit 0.5.0, kept as a reference.
 
-    Factors each basis image through PureState/is_product, votes every image
-    against image 0 at threshold sqrt(tol), assembles the voted form from the
-    factors, then checks pairs and the isometry as classify_slice did before
-    0.10.0. Its forms carry a NaN residual: only their outcome is compared.
+    Factors each basis image by its own SVD (a product when one singular
+    value exceeds tol), votes every image against image 0 at threshold
+    sqrt(tol), assembles the voted form from the factors, then checks pairs
+    and the isometry as classify_slice did before 0.10.0. Its forms carry a
+    NaN residual: only their outcome is compared, each factor up to a phase.
     """
     u = classify._check_shape(u, d1, d2)
     require_unitary(u, tol, "input")
-    space = BipartiteSpace(d1, d2)
     b = slice_map(u, d1, d2, phi0)
 
     def factor(indices):
         image = b[:, indices].sum(axis=1) / np.sqrt(len(indices))
-        ok, factors = is_product(PureState(space, image), tol)
-        if not ok:
+        x, s, yh = np.linalg.svd(image.reshape(d1, d2))
+        if np.count_nonzero(s > tol.eps) != 1:
             raise SliceHypothesisError("not a product", indices)
-        return factors
+        return x[:, 0], yh[0]
 
     lefts, rights = zip(*(factor((i,)) for i in range(d1)))
     if d1 == 1:
@@ -740,8 +743,8 @@ class TestSliceAgainstVoteReference:
             classify_slice(u, 3, 2, plus, tol)
         assert exc.value.indices == (0, 1)
         b = slice_map(u, 3, 2, plus)
-        pair = PureState(BipartiteSpace(3, 2), (b[:, 0] + b[:, 1]) / np.sqrt(2))
-        assert schmidt_rank(pair, tol) == 2
+        pair = (b[:, 0] + b[:, 1]) / np.sqrt(2)
+        assert schmidt_ranks(BipartiteSpace(3, 2), pair[None], tol).tolist() == [2]
 
 
 def _kron_spectral_residual(form, u, d1, phi0):

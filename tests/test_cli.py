@@ -274,6 +274,26 @@ class TestMeasureCommand:
         assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 2
         assert "outcomes must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "outcomes,message",
+        [
+            (["0", "0"], "outcome labels must be distinct"),
+            (["0", "1", "2"], "one effect per outcome"),
+        ],
+        ids=["duplicate-labels", "count-mismatch"],
+    )
+    def test_bad_outcome_labels_exit_2(self, tmp_path, capsys, outcomes, message):
+        # A pointer that POVM refuses is a malformed scheme file, exit 2 from
+        # the load; a duplicate label would list one outcome twice.
+        run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
+        capsys.readouterr()
+        scheme = json.loads((tmp_path / "s.json").read_text())
+        scheme["pointer"]["outcomes"] = outcomes
+        write_json(tmp_path / "s.json", scheme)
+        state = write_json(tmp_path / "e0.json", vector_to_json(np.eye(2)[0]))
+        assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_unitary_coupling_exit_3(self, tmp_path, capsys):
         # Exit 3 is "input not unitary", as for classify on the same coupling.
         run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")])
@@ -336,6 +356,25 @@ class TestPathCommand:
         assert run_cli(args) == 2
         assert "probe_init norm" in capsys.readouterr().err
         assert run_cli(args + ["--tol", "1e-6"]) == 0
+
+    @pytest.mark.parametrize(
+        "probe,message",
+        [(np.eye(3)[0], "probe_init dimension 3 != d2 2"), (np.ones(2), "probe_init norm")],
+        ids=["size", "norm"],
+    )
+    def test_probe_init_checked_before_eigendecomposition(
+        self, tmp_path, capsys, monkeypatch, probe, message
+    ):
+        import entkit.dynamics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unitary_eig ran before the probe_init checks")
+
+        monkeypatch.setattr(entkit.dynamics, "unitary_eig", refuse)
+        path = write_json(tmp_path / "swap.json", matrix_to_json(swap_unitary(2)))
+        probe = write_json(tmp_path / "probe.json", vector_to_json(probe))
+        assert run_cli(["path", path, "--dims", "2", "2", "--probe-init", probe]) == 2
+        assert message in capsys.readouterr().err
 
     def test_one_unitarity_check_per_path(self, tmp_path, capsys, unitarity_checks):
         # The endpoint's, before its eigendecomposition, and the path's eigenvectors',

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entkit import dynamics
-from entkit.bipartite import BipartiteSpace, PureState, entanglement_entropy, schmidt_coefficients
+from entkit.bipartite import BipartiteSpace, entanglement_entropies, schmidt_coefficients
 from entkit.classify import _classify, classify_unitary, witness_margin
 from entkit.dynamics import (
     UnitaryPath,
@@ -29,7 +29,7 @@ from entkit.linalg import (
     split_seed,
     swap_unitary,
     tensor_product,
-    unitary_log,
+    unitary_eig,
 )
 from entkit.verify import sqrt_swap_oracle
 
@@ -42,6 +42,12 @@ E2 = np.eye(2)
 # quarter point.
 MIDPOINT_SUPERPOSITION_ENTROPY = 0.35457890266527003
 QUARTER_BASIS_ENTROPY = 0.6008760366928562
+
+
+def principal_log(u: np.ndarray) -> np.ndarray:
+    """z diag(theta) z^† from unitary_eig: the Hermitian H with exp(iH) == u."""
+    theta, z = unitary_eig(u)
+    return (z * theta) @ z.conj().T
 
 
 def binary_entropy(p: float) -> float:
@@ -127,7 +133,7 @@ class TestPathPoint:
         [
             # The old route, through the logarithm: the same U_t to rounding.
             lambda u=haar_product(2, 3, 5)[0] @ np.diag(np.exp(1j * np.arange(6))): (
-                geodesic_path(u, 2, 3), unitary_log(u), 1e-12
+                geodesic_path(u, 2, 3), principal_log(u), 1e-12
             ),
             # The same eigh: bit-identical.
             lambda h=random_hermitian(6, 9, scale=2.0): (path_from_generator(h, 3, 2), h, 0.0),
@@ -169,7 +175,7 @@ def _reference_profile(u, d1, d2, probe_init, n_steps, seed, n_inputs):
     """Input ids, and per grid point each input's image entropy from its own
     SVD, in input order, with the verdict of U_t, where U_t comes by the old
     route: exp_i_hermitian of the endpoint's logarithm."""
-    h = unitary_log(u)
+    h = principal_log(u)
     input_ids, vecs = profile_inputs(d1, d2, probe_init, seed, n_inputs)
     points = []
     for k in range(n_steps + 1):
@@ -267,14 +273,15 @@ class TestEntanglementProfile:
 
         path = geodesic_path(swap_unitary(2), 2, 2)
         half = path_point(path, 0.5)
-        sampled = entanglement_entropy(PureState(BipartiteSpace(2, 2), half @ inp))
+        (sampled,) = entanglement_entropies(BipartiteSpace(2, 2), (half @ inp)[None])
         assert abs(sampled - oracle_entropy) < 1e-6
 
     def test_swap_quarter_point_basis_entropy(self):
         path = geodesic_path(swap_unitary(2), 2, 2)
         quarter = path_point(path, 0.25)
-        image = PureState(BipartiteSpace(2, 2), quarter @ np.kron(E2[1], E2[0]))
-        assert abs(entanglement_entropy(image) - QUARTER_BASIS_ENTROPY) < 1e-12
+        image = quarter @ np.kron(E2[1], E2[0])
+        (entropy,) = entanglement_entropies(BipartiteSpace(2, 2), image[None])
+        assert abs(entropy - QUARTER_BASIS_ENTROPY) < 1e-12
 
     def test_swap_profile_midpoint_max_matches_oracle_family(self):
         path = geodesic_path(swap_unitary(2), 2, 2)
@@ -282,10 +289,7 @@ class TestEntanglementProfile:
         midpoint = next(pt for pt in profile.points if pt.t == 0.5)
         _, inputs = profile_inputs(2, 2, E2[0], 5, 8)
         oracle_u = sqrt_swap_oracle(2)
-        oracle_max = max(
-            entanglement_entropy(PureState(BipartiteSpace(2, 2), oracle_u @ vec))
-            for vec in inputs
-        )
+        oracle_max = entanglement_entropies(BipartiteSpace(2, 2), inputs @ oracle_u.T).max()
         assert abs(midpoint.max_entropy_bits - oracle_max) < 1e-6
 
     def test_local_generator_never_entangles(self):

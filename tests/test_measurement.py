@@ -548,6 +548,20 @@ class TestStackedOperators:
             inst.kraus[0, 0, 0, 0] = 1.0
 
     @pytest.mark.parametrize(
+        "labels,message",
+        [
+            # Labels are compared as the strings a report lists.
+            ((1, "1"), "outcome labels must be distinct"),
+            (("a", "a"), "outcome labels must be distinct"),
+            (("a", "b", "c"), "one effect per outcome label"),
+        ],
+        ids=["int-and-str", "repeated", "count-mismatch"],
+    )
+    def test_bad_outcome_labels_refused(self, labels, message):
+        with pytest.raises(InvalidPOVMError, match=message):
+            POVM(2, labels, (0.5 * np.eye(2), 0.5 * np.eye(2)))
+
+    @pytest.mark.parametrize(
         "second", [np.eye(3), np.ones(2), np.ones((2, 2, 2))], ids=["3x3", "vector", "3-d"]
     )
     def test_ragged_povm_is_a_dimension_error(self, second):

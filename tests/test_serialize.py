@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from entkit.bipartite import BipartiteSpace, PureState, schmidt
+from entkit.bipartite import BipartiteSpace, PureState
 from entkit.errors import DimensionError
 from entkit.fixtures import projective_povm, random_povm, trine_povm
 from entkit.linalg import haar_unitary, random_state
@@ -17,8 +17,6 @@ from entkit.serialize import (
     povm_to_json,
     scheme_from_json,
     scheme_to_json,
-    schmidt_to_json,
-    state_from_json,
     state_to_json,
     vector_from_json,
     vector_to_json,
@@ -86,22 +84,18 @@ class TestMatrixJson:
 
 class TestStateAndPovmJson:
     def test_state_round_trip(self):
+        # The classify witness's input and image: dimensions and a vector.
         psi = PureState(BipartiteSpace(2, 3), random_state(6, 7))
-        back = state_from_json(state_to_json(psi))
-        assert back.space == psi.space
-        np.testing.assert_array_equal(back.vec, psi.vec)
+        obj = state_to_json(psi)
+        assert (obj["d1"], obj["d2"]) == (2, 3)
+        np.testing.assert_array_equal(vector_from_json(obj["vec"]), psi.vec)
 
     def test_dimensions_must_be_integers(self):
-        psi = PureState(BipartiteSpace(2, 3), random_state(6, 7))
-        with pytest.raises(ValueError, match="d1 must be an integer"):
-            state_from_json({**state_to_json(psi), "d1": 2.5})
+        s = scheme_to_json(swap_scheme(trine_povm(), random_state(2, 12)))
+        with pytest.raises(ValueError, match="object_dim must be an integer"):
+            scheme_from_json({**s, "object_dim": 2.5})
         with pytest.raises(ValueError, match="dim must be an integer"):
             povm_from_json({**povm_to_json(trine_povm()), "dim": True})
-
-    def test_schmidt_shape(self):
-        psi = PureState(BipartiteSpace(2, 3), random_state(6, 8))
-        obj = schmidt_to_json(schmidt(psi))
-        assert len(obj["coeffs"]) == len(obj["left"]) == len(obj["right"]) == 2
 
     def test_povm_round_trip(self):
         e = random_povm(3, 4, 11)
