@@ -4,10 +4,20 @@ Every suite is a pure function of (seed, tol) and returns a SuiteResult whose
 fields are deterministic; reports serialized from identical inputs are
 byte-identical. Wall-clock measurements therefore never appear here; the
 acceptance tests time the suites externally.
+
+run_all runs the suites in up to one forked worker per available CPU and
+collects their results in ALL_SUITES order, so its report bytes are those
+of an in-process run. Fork, because spawn and forkserver re-import entkit in
+every worker, and its scipy import (0.4-0.5 s) costs more than the pool
+saves; forkserver is worth revisiting once scipy leaves the import. Python
+3.12 and later warn (DeprecationWarning) when a process with threads, such
+as OpenBLAS's, forks; CI pins Python 3.11.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -411,6 +421,28 @@ ALL_SUITES = (
 )
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_suite(index: int, seed: int, tol: Tolerance) -> SuiteResult:
+    """ALL_SUITES[index] at (seed, tol); an exception becomes a failed result.
+
+    The suite is looked up where it runs: a forked worker gets the tuple its
+    parent held at the fork, wrapped suites included, which need not pickle.
+    """
+    suite = ALL_SUITES[index]
+    try:
+        return suite(seed, tol)
+    except Exception as exc:
+        worst = {"error": f"{type(exc).__name__}: {exc}"}
+        name = suite.__name__.removeprefix("suite_")
+        return SuiteResult(name, "", passed=False, checks=0, failures=1, worst=worst)
+
+
 def run_all(seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Run every suite and assemble the deterministic verification report.
 
@@ -418,16 +450,27 @@ def run_all(seed: int = DEFAULT_SEED, tol: Tolerance = DEFAULT_TOL) -> dict:
     runs. A suite aborted by an exception (typically a tolerance too tight
     for valid inputs) is reported as failed with the error message rather
     than crashing the run.
+
+    With more than one available CPU and the fork start method, the suites
+    run in a pool of min(len(ALL_SUITES), CPUs) forked workers; otherwise in
+    this process. Results come back in ALL_SUITES order either way, so the
+    report bytes do not depend on the path. Every worker has exited when
+    this returns; a worker that dies raises BrokenProcessPool.
     """
     witness_margin(tol)
-    suites = []
-    for suite in ALL_SUITES:
-        try:
-            suites.append(suite(seed, tol))
-        except Exception as exc:
-            worst = {"error": f"{type(exc).__name__}: {exc}"}
-            name = suite.__name__.removeprefix("suite_")
-            suites.append(SuiteResult(name, "", passed=False, checks=0, failures=1, worst=worst))
+    # Imported here: loading them costs about 30 ms that `import entkit` need not pay.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    run = functools.partial(_run_suite, seed=seed, tol=tol)
+    indices = range(len(ALL_SUITES))
+    workers = min(len(ALL_SUITES), _available_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as executor:
+            suites = list(executor.map(run, indices))
+    else:
+        suites = list(map(run, indices))
     return {
         "tool": "entkit",
         "version": __version__,

@@ -1033,16 +1033,18 @@ class TestWitnessEngine:
         "d1, d2", [(2, 2), (2, 4), (4, 2), (3, 4), (4, 4), (5, 5), (6, 6), (8, 8), (2, 32)]
     )
     def test_certificates_at_every_dimension(self, d1, d2, monkeypatch):
-        # Every dimension certifies rows, the verify corpus (d <= 4) and
-        # thin factors included.
+        # Every dimension reaches the certificate, the verify corpus (d <= 4)
+        # and thin factors included; it certifies rows of more than 6
+        # candidates (d2 >= 4) and no shorter row.
         calls = []
         real = classify._row_certified
         monkeypatch.setattr(
-            classify, "_row_certified", lambda *args: calls.append(args) or real(*args)
+            classify, "_row_certified", lambda *args: calls.append(real(*args)) or calls[-1]
         )
         u = controlled_phase(np.pi / 3, d1, d2)
         assert classify._find_witness(u, d1, d2, ENGINE_MARGIN, seed=0, n_samples=0) is not None
         assert calls
+        assert any(calls) == (d2 >= 4)
 
     def test_certified_rows_svd_few_matrices(self, monkeypatch):
         svd = np.linalg.svd
