@@ -50,8 +50,8 @@ def main():
         induced = measured_observable(scheme)
         dev = triviality_deviation(induced)
         dist = disturbance(scheme, DensityOperator.from_pure(state_a))
-        pa = outcome_probabilities(scheme, state_a).probabilities
-        pb = outcome_probabilities(scheme, state_b).probabilities
+        pa = outcome_probabilities(scheme, state_a)
+        pb = outcome_probabilities(scheme, state_b)
         print(
             f"{name:14s} {dev:12.3e} {dist:12.3e}  "
             f"{np.round(pa, 4).tolist()} vs {np.round(pb, 4).tolist()}"

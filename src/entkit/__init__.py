@@ -8,7 +8,7 @@ that must build up along any continuous path reaching a swap coupling.
 
 # The single version string: pyproject reads it, and reports embed it. It
 # is bumped whenever reports for a given seed can change.
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .bipartite import (
     BipartiteSpace,
@@ -17,7 +17,6 @@ from .bipartite import (
     entanglement_entropies,
     product_state,
     schmidt_ranks,
-    trace_distance,
 )
 from .classify import (
     Entangling,
@@ -52,10 +51,8 @@ from .linalg import (
 from .measurement import (
     Instrument,
     MeasurementScheme,
-    OutcomeDistribution,
     POVM,
     disturbance,
-    is_trivial_povm,
     luders_instrument,
     measured_observable,
     no_info_no_disturbance_check,

@@ -121,6 +121,8 @@ def entanglement_entropies(space: BipartiteSpace, vecs: np.ndarray) -> np.ndarra
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Half the trace norms of a - b over (n, dim, dim) stacks, from one
     stacked eigvalsh of the Hermitian parts."""
+    if np.shape(a) != np.shape(b):
+        raise DimensionError(f"stack shapes differ: {np.shape(a)} vs {np.shape(b)}")
     d = a - b
     d = (d + d.conj().swapaxes(1, 2)) / 2
     # Flip each difference's overall sign so that (a, b) and (b, a)
@@ -130,10 +132,3 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     flip = (first.real < 0) | ((first.real == 0) & (first.imag < 0))
     d[flip] = -d[flip]
     return 0.5 * np.abs(np.linalg.eigvalsh(d)).sum(axis=1)
-
-
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """Half the trace norm of (a - b)."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(trace_distances(a.mat[None], b.mat[None])[0])

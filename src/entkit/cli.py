@@ -41,7 +41,6 @@ from .errors import (
 from .linalg import DEFAULT_SEED, DEFAULT_TOL, Tolerance, haar_unitary, random_state, swap_unitary
 from .measurement import (
     disturbance,
-    is_trivial_povm,
     measured_observable,
     outcome_probabilities,
     swap_scheme,
@@ -190,14 +189,17 @@ def cmd_measure(args: argparse.Namespace) -> int:
     probs = outcome_probabilities(scheme, phi, args.tol)
     rho = DensityOperator.from_pure(phi)
     dist = disturbance(scheme, rho, args.tol)
-    trivial, scalars = is_trivial_povm(induced, args.tol)
+    deviation = triviality_deviation(induced)
+    trivial = deviation <= args.tol.eps
     report = _report_header("prob-reproducibility", args)
-    report["outcomes"] = list(probs.labels)
-    report["probabilities"] = [float(p) for p in probs.probabilities]
+    report["outcomes"] = list(scheme.pointer.outcomes)
+    report["probabilities"] = [float(p) for p in probs]
     report["measured_observable"] = povm_to_json(induced)
     report["trivial_observable"] = trivial
-    report["trivial_scalars"] = scalars
-    report["triviality_deviation"] = triviality_deviation(induced)
+    report["trivial_scalars"] = (
+        [float(np.trace(eff).real) / induced.dim for eff in induced.effects] if trivial else None
+    )
+    report["triviality_deviation"] = deviation
     report["disturbance"] = dist
     _emit(_render(report, args.format), args.out)
     return 0

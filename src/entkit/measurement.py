@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bipartite import DensityOperator, trace_distance, trace_distances
+from .bipartite import DensityOperator, trace_distances
 from .errors import DimensionError, InvalidPOVMError
 from .linalg import (
     DEFAULT_SEED,
@@ -23,7 +23,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     frobenius,
-    gram_defect,
     probe_states,
     require_unit,
     require_unitary,
@@ -59,26 +58,26 @@ class POVM:
         object.__setattr__(self, "outcomes", outcomes)
 
 
-def validate_povm(e: POVM, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, dict]:
-    """Check Hermiticity, positivity and completeness; never raises.
+def validate_povm(e: POVM) -> dict:
+    """Worst violation per invariant: Hermiticity, positivity, completeness.
 
-    The report records the worst violation per invariant.
+    Never raises, and no entry depends on tol: require_valid_povm compares
+    them to it.
     """
     eff = e.effects
     eff_h = eff.conj().transpose(0, 2, 1)
-    report = {
+    return {
         "hermiticity_defect": max(frobenius(h) for h in eff - eff_h),
         "negativity": max(0.0, -float(np.linalg.eigvalsh((eff + eff_h) / 2).min())),
         "completeness_defect": frobenius(eff.sum(axis=0) - np.eye(e.dim)),
     }
-    return all(v <= tol.eps for v in report.values()), report
 
 
 def require_valid_povm(e: POVM, tol: Tolerance = DEFAULT_TOL, report: dict | None = None) -> None:
     """InvalidPOVMError unless every entry of validate_povm's report is within
     tol.eps; ``report`` skips the validation when the caller holds it."""
     if report is None:
-        report = validate_povm(e, tol)[1]
+        report = validate_povm(e)
     if not all(v <= tol.eps for v in report.values()):
         raise InvalidPOVMError(f"invalid POVM: {report}", dict(report))
 
@@ -120,8 +119,8 @@ class MeasurementScheme:
 
     @cached_property
     def pointer_report(self) -> dict:
-        """validate_povm's report on the pointer; its entries do not depend on tol."""
-        return validate_povm(self.pointer)[1]
+        """validate_povm's report on the pointer."""
+        return validate_povm(self.pointer)
 
     @cached_property
     def slice_map(self) -> np.ndarray:
@@ -139,7 +138,11 @@ class MeasurementScheme:
 @dataclass(frozen=True)
 class Instrument:
     """Outcome-indexed completely positive maps: kraus[X, k], the k-th Kraus operator
-    of outcome X, in one read-only (n_outcomes, n_kraus, dim, dim) array."""
+    of outcome X, in one read-only (n_outcomes, n_kraus, dim, dim) array.
+
+    apply(ρ[None])[0, X] is outcome X's map of ρ, and summing apply over its
+    outcome axis gives the non-selective state; gram_defect of the Kraus
+    operators stacked as kraus.reshape(-1, dim) is ||sum K^†K - I||_F."""
 
     dim: int
     outcomes: tuple[str, ...]
@@ -164,24 +167,6 @@ class Instrument:
         out = (kr @ self.kraus.transpose(0, 1, 3, 2)).sum(axis=2)
         return np.conjugate(out, out=out)
 
-    def outcome_map(self, index: int, rho: DensityOperator) -> np.ndarray:
-        """Unnormalized conditional output for one outcome."""
-        return self.apply(rho.mat[None])[0, index]
-
-    def nonselective(self, rho: DensityOperator) -> DensityOperator:
-        return DensityOperator(self.dim, self.apply(rho.mat[None])[0].sum(axis=0))
-
-    def trace_preservation_defect(self) -> float:
-        """||sum K^†K - I||_F, the Gram defect of the Kraus operators stacked
-        as one tall matrix: sum K^†K is its Gram matrix."""
-        return gram_defect(self.kraus.reshape(-1, self.dim))
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    labels: tuple[str, ...]
-    probabilities: np.ndarray
-
 
 def swap_scheme(e: POVM, phi0: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MeasurementScheme:
     """Scheme whose coupling is the canonical swap; it measures e itself."""
@@ -205,8 +190,9 @@ def measured_observable(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> P
 
 def outcome_probabilities(
     s: MeasurementScheme, phi: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> OutcomeDistribution:
-    """Pointer statistics p(X) = <U(φ⊗φ0) | (I ⊗ E(X)) U(φ⊗φ0)>."""
+) -> np.ndarray:
+    """Pointer statistics p(X) = <U(φ⊗φ0) | (I ⊗ E(X)) U(φ⊗φ0)>, one entry
+    per label of s.pointer.outcomes."""
     s.check(tol)
     phi = as_vector(phi)
     if phi.size != s.object_dim:
@@ -224,7 +210,7 @@ def outcome_probabilities(
     total = probs.sum()
     if abs(total - 1.0) > 10 * tol.eps:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    return OutcomeDistribution(s.pointer.outcomes, probs / total)
+    return probs / total
 
 
 def luders_instrument(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Instrument:
@@ -245,30 +231,27 @@ def luders_instrument(s: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Ins
     return Instrument(d1, s.pointer.outcomes, m.transpose(0, 2, 1, 3))
 
 
+def _disturbances(s: MeasurementScheme, rhos: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Trace distance of each state of an (n, d1, d1) stack from its
+    non-selective post-measurement state."""
+    return trace_distances(rhos, luders_instrument(s, tol).apply(rhos).sum(axis=1))
+
+
 def disturbance(
     s: MeasurementScheme, rho: DensityOperator, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Trace distance between rho and the non-selective post-measurement state."""
     if rho.dim != s.object_dim:
         raise DimensionError(f"state dim {rho.dim} != object dim {s.object_dim}")
-    return trace_distance(rho, luders_instrument(s, tol).nonselective(rho))
-
-
-def is_trivial_povm(
-    e: POVM, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, list[float] | None]:
-    """True iff every effect is a scalar multiple of the identity within tol.
-
-    Returns the scalars Tr E(X) / dim on success; their statistics carry no
-    information about the measured state.
-    """
-    if triviality_deviation(e) <= tol.eps:
-        return True, [float(np.trace(eff).real) / e.dim for eff in e.effects]
-    return False, None
+    return float(_disturbances(s, rho.mat[None], tol)[0])
 
 
 def triviality_deviation(e: POVM) -> float:
-    """max_X || E(X) - (Tr E(X)/dim) I ||_F; 0 exactly on trivial observables."""
+    """max_X || E(X) - (Tr E(X)/dim) I ||_F; 0 exactly on trivial observables.
+
+    The one triviality rule: e is trivial within tol iff this is at most
+    tol.eps, with scalars Tr E(X)/dim.
+    """
     return max(
         frobenius(eff - (float(np.trace(eff).real) / e.dim) * np.eye(e.dim))
         for eff in e.effects
@@ -302,7 +285,7 @@ def no_info_no_disturbance_check(
     """
     labels, vecs = probe_states(s.object_dim, rng_from_seed(seed), n_states)
     rhos = vecs[:, :, None] * vecs[:, None, :].conj()
-    dists = trace_distances(rhos, luders_instrument(s, tol).apply(rhos).sum(axis=1))
+    dists = _disturbances(s, rhos, tol)
     # The first maximum wins: a tie names the earliest state.
     best = int(np.argmax(dists))
     max_dist = float(dists[best])

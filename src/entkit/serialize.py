@@ -13,6 +13,7 @@ from json.encoder import encode_basestring_ascii
 import math
 import numbers
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -200,11 +201,22 @@ def profile_csv(points) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory; no partial files on error."""
+    """Write via a temp file in the same directory; no partial files on error.
+
+    The file gets the mode an existing target has, else 0o666 less the
+    umask, as open() would give it; mkstemp alone would leave it 0o600.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

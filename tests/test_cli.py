@@ -238,6 +238,34 @@ class TestMeasureCommand:
         assert run_cli(["measure", "--scheme", str(tmp_path / "s.json"), "--state", state]) == 0
         assert calls == [2]
 
+    @pytest.mark.parametrize("coupling, trivial", [("haar-product", True), ("swap", False)])
+    def test_one_triviality_rule_per_run(self, tmp_path, capsys, monkeypatch, coupling, trivial):
+        import entkit.cli
+
+        calls = []
+        deviation = entkit.cli.triviality_deviation
+        counted = lambda e: calls.append(e.dim) or deviation(e)
+        monkeypatch.setattr(entkit.cli, "triviality_deviation", counted)
+        scheme = tmp_path / "s.json"
+        run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(scheme)])
+        run_cli(["gen", coupling, "--dims", "2", "2", "--seed", "3", "--out", str(tmp_path / "u.json")])
+        obj = json.loads(scheme.read_text())
+        obj["coupling"] = json.loads((tmp_path / "u.json").read_text())
+        write_json(scheme, obj)
+        state = write_json(tmp_path / "plus.json", vector_to_json(_PLUS))
+        capsys.readouterr()
+        assert run_cli(["measure", "--scheme", str(scheme), "--state", state]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls == [2]
+        assert report["trivial_observable"] is trivial
+        assert (report["triviality_deviation"] <= report["tol"]) is trivial
+        assert (report["trivial_scalars"] is not None) is trivial
+        if trivial:
+            effects = [np.array(m["re"]) + 1j * np.array(m["im"])
+                       for m in report["measured_observable"]["effects"]]
+            want = [float(np.trace(e.reshape(2, 2)).real) / 2 for e in effects]
+            assert report["trivial_scalars"] == want
+
     def test_swap_scheme_on_plus(self, tmp_path, capsys):
         assert run_cli(["gen", "swap-scheme", "--dims", "2", "2", "--out", str(tmp_path / "s.json")]) == 0
         plus = write_json(
@@ -411,11 +439,10 @@ class TestGenCommand:
 
     def test_gen_trine_validates(self, capsys):
         assert run_cli(["gen", "trine-povm"]) == 0
-        from entkit.measurement import validate_povm
+        from entkit.measurement import require_valid_povm
         from entkit.serialize import povm_from_json
 
-        ok, _ = validate_povm(povm_from_json(json.loads(capsys.readouterr().out)))
-        assert ok
+        require_valid_povm(povm_from_json(json.loads(capsys.readouterr().out)))
 
     def test_gen_determinism(self, capsys):
         run_cli(["gen", "haar", "--dims", "2", "2", "--seed", "5"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entkit.bipartite import DensityOperator, trace_distance
+from entkit.bipartite import DensityOperator, trace_distances
 from entkit.errors import DimensionError, InvalidPOVMError, NonUnitaryError, NormalizationError
 from entkit.fixtures import (
     haar_product,
@@ -12,7 +12,9 @@ from entkit.fixtures import (
     trivial_povm,
 )
 from entkit.linalg import (
+    DEFAULT_TOL,
     Tolerance,
+    gram_defect,
     haar_unitary,
     probe_states,
     random_state,
@@ -24,12 +26,13 @@ from entkit.measurement import (
     Instrument,
     MeasurementScheme,
     POVM,
+    _disturbances,
     disturbance,
-    is_trivial_povm,
     luders_instrument,
     measured_observable,
     no_info_no_disturbance_check,
     outcome_probabilities,
+    require_valid_povm,
     swap_scheme,
     triviality_deviation,
     validate_povm,
@@ -40,36 +43,63 @@ E2 = np.eye(2)
 PLUS = (E2[0] + E2[1]) / np.sqrt(2)
 
 
+def _refused_with_report(e, tol=DEFAULT_TOL):
+    """require_valid_povm raises, carrying validate_povm's report."""
+    with pytest.raises(InvalidPOVMError) as exc:
+        require_valid_povm(e, tol)
+    assert exc.value.report == validate_povm(e)
+    return exc.value.report
+
+
+# One POVM per invariant, off by 1e-6 in that invariant alone.
+BOUNDARY_POVMS = {
+    "hermiticity_defect": lambda: POVM(
+        2, ("a", "b"), (0.5 * E2 + 1e-6 * np.triu(np.ones((2, 2)), 1),
+                        0.5 * E2 - 1e-6 * np.triu(np.ones((2, 2)), 1)),
+    ),
+    "negativity": lambda: POVM(2, ("a", "b"), (np.diag([-1e-6, 0.5]), np.diag([1 + 1e-6, 0.5]))),
+    "completeness_defect": lambda: POVM(2, ("a", "b"), (np.diag([0.5 + 1e-6, 0.5]), 0.5 * E2)),
+}
+
+
 class TestValidatePOVM:
     def test_projective_valid(self):
-        ok, report = validate_povm(projective_povm(2))
-        assert ok and report["completeness_defect"] < 1e-12
+        report = validate_povm(projective_povm(2))
+        require_valid_povm(projective_povm(2), report=report)
+        assert report["completeness_defect"] < 1e-12
 
     def test_scaled_identity_valid(self):
         e = POVM(2, ("a", "b"), (0.7 * np.eye(2), 0.3 * np.eye(2)))
-        ok, _ = validate_povm(e)
-        assert ok
+        require_valid_povm(e)
 
     def test_double_identity_invalid(self):
         e = POVM(2, ("a", "b"), (np.eye(2), np.eye(2)))
-        ok, report = validate_povm(e)
-        assert not ok
+        report = _refused_with_report(e)
         assert abs(report["completeness_defect"] - np.linalg.norm(np.eye(2))) < 1e-12
 
     def test_negative_effect_invalid(self):
         e = POVM(2, ("a", "b"), (1.5 * np.eye(2), -0.5 * np.eye(2)))
-        ok, report = validate_povm(e)
-        assert not ok and report["negativity"] > 0.4
+        assert _refused_with_report(e)["negativity"] > 0.4
 
     def test_trine_complete(self):
-        ok, report = validate_povm(trine_povm())
-        assert ok and report["completeness_defect"] < 1e-12
+        report = validate_povm(trine_povm())
+        require_valid_povm(trine_povm(), report=report)
+        assert report["completeness_defect"] < 1e-12
 
     @given(seeds, st.integers(min_value=1, max_value=5))
     @settings(max_examples=25, deadline=None)
     def test_random_povm_always_valid(self, seed, n_out):
-        ok, _ = validate_povm(random_povm(3, n_out, seed))
-        assert ok
+        require_valid_povm(random_povm(3, n_out, seed))
+
+    @pytest.mark.parametrize("invariant", sorted(BOUNDARY_POVMS))
+    def test_entry_at_tol_passes_and_just_above_is_refused(self, invariant):
+        e = BOUNDARY_POVMS[invariant]()
+        report = validate_povm(e)
+        at = report[invariant]
+        assert 0.5e-6 < at < 2e-6
+        assert all(v < 1e-12 for k, v in report.items() if k != invariant)
+        require_valid_povm(e, Tolerance(at))
+        _refused_with_report(e, Tolerance(np.nextafter(at, 0.0)))
 
 
 class TestSwapScheme:
@@ -80,7 +110,7 @@ class TestSwapScheme:
 
     def test_trivial_pointer(self):
         s = swap_scheme(trivial_povm(2), E2[0])
-        assert is_trivial_povm(s.pointer)[0]
+        assert triviality_deviation(s.pointer) <= DEFAULT_TOL.eps
 
     def test_trine(self):
         s = swap_scheme(trine_povm(), random_state(2, 4))
@@ -109,11 +139,10 @@ class TestMeasuredObservable:
         phi0 = random_state(2, 34)
         s = MeasurementScheme(2, 2, phi0, tensor_product(v, w), pointer)
         induced = measured_observable(s)
-        ok, scalars = is_trivial_povm(induced, Tolerance(1e-10))
-        assert ok
-        for lam, eff in zip(scalars, pointer.effects):
+        assert triviality_deviation(induced) <= 1e-10
+        for ind, eff in zip(induced.effects, pointer.effects):
             predicted = float(np.vdot(w @ phi0, eff @ (w @ phi0)).real)
-            assert abs(lam - predicted) < 1e-12
+            assert abs(float(np.trace(ind).real) / 2 - predicted) < 1e-12
 
     def test_identity_coupling(self):
         pointer = random_povm(2, 2, 40)
@@ -131,28 +160,27 @@ class TestMeasuredObservable:
         phi0 = random_state(2, seed + 1)
         coupling = haar_unitary(4, seed + 2)
         s = MeasurementScheme(2, 2, phi0, coupling, pointer)
-        ok, report = validate_povm(measured_observable(s), Tolerance(1e-10))
-        assert ok, report
+        require_valid_povm(measured_observable(s), Tolerance(1e-10))
 
 
 class TestOutcomeProbabilities:
     def test_swap_on_plus(self):
         s = swap_scheme(projective_povm(2), E2[0])
         probs = outcome_probabilities(s, PLUS)
-        np.testing.assert_allclose(probs.probabilities, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_single_outcome(self):
         s = MeasurementScheme(2, 2, E2[0], haar_unitary(4, 3), trivial_povm(2, (1.0,)))
         probs = outcome_probabilities(s, random_state(2, 9))
-        np.testing.assert_allclose(probs.probabilities, [1.0], atol=1e-12)
+        np.testing.assert_allclose(probs, [1.0], atol=1e-12)
 
     def test_product_coupling_state_independent(self):
         v, w = haar_unitary(2, 50), haar_unitary(2, 51)
         s = MeasurementScheme(
             2, 2, random_state(2, 52), tensor_product(v, w), random_povm(2, 3, 53)
         )
-        p1 = outcome_probabilities(s, random_state(2, 54)).probabilities
-        p2 = outcome_probabilities(s, random_state(2, 55)).probabilities
+        p1 = outcome_probabilities(s, random_state(2, 54))
+        p2 = outcome_probabilities(s, random_state(2, 55))
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_rejects_unnormalized(self):
@@ -176,7 +204,7 @@ class TestOutcomeProbabilities:
             2, 2, random_state(2, seed + 1), haar_unitary(4, seed + 2), pointer
         )
         phi = random_state(2, seed + 3)
-        probs = outcome_probabilities(s, phi).probabilities
+        probs = outcome_probabilities(s, phi)
         induced = measured_observable(s)
         direct = [float(np.vdot(phi, eff @ phi).real) for eff in induced.effects]
         np.testing.assert_allclose(probs, direct, atol=1e-10)
@@ -191,7 +219,7 @@ class TestOutcomeProbabilities:
             haar_unitary(9, seed + 1),
             random_povm(3, 4, seed + 2),
         )
-        probs = outcome_probabilities(s, random_state(3, seed + 3)).probabilities
+        probs = outcome_probabilities(s, random_state(3, seed + 3))
         assert abs(probs.sum() - 1.0) < 1e-12
         assert probs.min() >= 0.0
 
@@ -202,9 +230,9 @@ class TestLudersInstrument:
         s = swap_scheme(projective_povm(2), phi0)
         inst = luders_instrument(s)
         phi = random_state(2, 61)
-        rho = DensityOperator.from_pure(phi)
+        maps = inst.apply(np.outer(phi, phi.conj())[None])[0]
         for k in range(2):
-            out = inst.outcome_map(k, rho)
+            out = maps[k]
             p = abs(phi[k]) ** 2
             assert abs(np.trace(out).real - p) < 1e-12
             np.testing.assert_allclose(out, p * np.outer(phi0, phi0.conj()), atol=1e-12)
@@ -213,7 +241,7 @@ class TestLudersInstrument:
         s = MeasurementScheme(2, 2, E2[0], haar_unitary(4, 62), trivial_povm(2, (1.0,)))
         inst = luders_instrument(s)
         rho = DensityOperator.from_pure(random_state(2, 63))
-        out = inst.outcome_map(0, rho)
+        out = inst.apply(rho.mat[None])[0, 0]
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_identity_coupling_undisturbed(self):
@@ -222,9 +250,10 @@ class TestLudersInstrument:
         s = MeasurementScheme(2, 2, phi0, np.eye(4), pointer)
         inst = luders_instrument(s)
         rho = DensityOperator.from_pure(random_state(2, 66))
+        maps = inst.apply(rho.mat[None])[0]
         for k, eff in enumerate(pointer.effects):
             lam = float(np.vdot(phi0, eff @ phi0).real)
-            np.testing.assert_allclose(inst.outcome_map(k, rho), lam * rho.mat, atol=1e-12)
+            np.testing.assert_allclose(maps[k], lam * rho.mat, atol=1e-12)
 
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -234,12 +263,12 @@ class TestLudersInstrument:
             2, 2, random_state(2, seed + 1), haar_unitary(4, seed + 2), pointer
         )
         inst = luders_instrument(s)
-        assert inst.trace_preservation_defect() < 1e-10
+        assert gram_defect(inst.kraus.reshape(-1, inst.dim)) < 1e-10
         phi = random_state(2, seed + 3)
-        rho = DensityOperator.from_pure(phi)
-        probs = outcome_probabilities(s, phi).probabilities
+        maps = inst.apply(np.outer(phi, phi.conj())[None])[0]
+        probs = outcome_probabilities(s, phi)
         for k in range(len(pointer.outcomes)):
-            assert abs(np.trace(inst.outcome_map(k, rho)).real - probs[k]) < 1e-10
+            assert abs(np.trace(maps[k]).real - probs[k]) < 1e-10
 
 
 class TestDisturbance:
@@ -259,25 +288,23 @@ class TestDisturbance:
             2, 2, random_state(2, 74), tensor_product(v, w), random_povm(2, 2, 75)
         )
         rho = DensityOperator.from_pure(random_state(2, 76))
-        rotated = DensityOperator(2, v @ rho.mat @ v.conj().T)
-        assert abs(disturbance(s, rho) - trace_distance(rho, rotated)) < 1e-12
+        rotated = v @ rho.mat @ v.conj().T
+        assert abs(disturbance(s, rho) - trace_distances(rho.mat[None], rotated[None])[0]) < 1e-12
 
 
 class TestIsTrivialPOVM:
     def test_half_identity(self):
-        ok, scalars = is_trivial_povm(trivial_povm(2))
-        assert ok
-        np.testing.assert_allclose(scalars, [0.5, 0.5])
+        assert triviality_deviation(trivial_povm(2)) == 0.0
 
     def test_projective_not_trivial(self):
-        ok, scalars = is_trivial_povm(projective_povm(2))
-        assert not ok and scalars is None
+        deviation = triviality_deviation(projective_povm(2))
+        assert deviation > DEFAULT_TOL.eps
+        assert abs(deviation - 1 / np.sqrt(2)) < 1e-15
 
     def test_product_coupling_observable_trivial(self):
         u, _, _ = haar_product(2, 2, 80)
         s = MeasurementScheme(2, 2, random_state(2, 81), u, random_povm(2, 2, 82))
-        ok, _ = is_trivial_povm(measured_observable(s))
-        assert ok
+        assert triviality_deviation(measured_observable(s)) <= DEFAULT_TOL.eps
 
 
 class TestNoInfoNoDisturbance:
@@ -336,12 +363,12 @@ class TestSchemeValidation:
         # One cached report, independent of tol, decides check at every tol.
         pointer = POVM(2, ("0", "1"), [np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])])
         s = MeasurementScheme(2, 2, E2[0], swap_unitary(2), pointer)
-        assert s.pointer_report == validate_povm(pointer, Tolerance(1e-12))[1]
+        assert s.pointer_report == validate_povm(pointer)
         s.check(Tolerance(1e-6))
         with pytest.raises(InvalidPOVMError, match="invalid POVM") as exc:
             s.check(Tolerance(1e-9))
         assert exc.value.report == s.pointer_report
-        assert str(exc.value) == f"invalid POVM: {validate_povm(pointer)[1]}"
+        assert str(exc.value) == f"invalid POVM: {validate_povm(pointer)}"
 
     def test_one_unitarity_check_per_no_info_check(self, unitarity_checks):
         s = MeasurementScheme(2, 3, random_state(3, 4), haar_unitary(6, 5), random_povm(3, 2, 6))
@@ -437,7 +464,7 @@ class TestAgainstKronReference:
     def test_outcome_probabilities(self, d1, d2):
         s = _reference_scheme(d1, d2)
         phi = random_state(d1, 99)
-        got = outcome_probabilities(s, phi).probabilities
+        got = outcome_probabilities(s, phi)
         np.testing.assert_allclose(got, _kron_probabilities(s, phi), rtol=0, atol=self.TOL)
 
     @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
@@ -455,11 +482,9 @@ class TestNoInfoStates:
         s = _reference_scheme(d1, d2)
         seed, n = 5, 16
         labels, vecs = probe_states(d1, rng_from_seed(seed), n)
-        inst = luders_instrument(s)
-        dists = []
-        for vec in vecs:
-            rho = DensityOperator.from_pure(vec)
-            dists.append(trace_distance(rho, inst.nonselective(rho)))
+        dists = [disturbance(s, DensityOperator.from_pure(vec)) for vec in vecs]
+        rhos = vecs[:, :, None] * vecs[:, None, :].conj()
+        np.testing.assert_array_equal(_disturbances(s, rhos, DEFAULT_TOL), dists)
         report = no_info_no_disturbance_check(s, seed=seed, n_states=n)
         assert report.n_states == len(labels)
         assert report.max_disturbance_state == labels[int(np.argmax(dists))]
@@ -501,19 +526,18 @@ class TestChannelAgainstKrausLoop:
     @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
     def test_outcome_maps_and_nonselective(self, d1, d2):
         inst = luders_instrument(_reference_scheme(d1, d2))
-        pure = DensityOperator.from_pure(random_state(d1, 7))
-        for rho in (pure, DensityOperator(d1, _mixed_state(d1, 8))):
+        pure = DensityOperator.from_pure(random_state(d1, 7)).mat
+        for rho in (pure, _mixed_state(d1, 8)):
+            maps = inst.apply(rho[None])
             for index in range(len(inst.outcomes)):
-                np.testing.assert_array_equal(
-                    inst.outcome_map(index, rho), _loop_outcome_map(inst, index, rho.mat)
-                )
-            want = _loop_nonselective(inst, rho.mat)
-            np.testing.assert_array_equal(inst.nonselective(rho).mat, want)
+                np.testing.assert_array_equal(maps[0, index], _loop_outcome_map(inst, index, rho))
+            want = _loop_nonselective(inst, rho)
+            np.testing.assert_array_equal(maps.sum(axis=1)[0], want)
 
     @pytest.mark.parametrize("d1,d2", REFERENCE_DIMS)
     def test_trace_preservation_defect(self, d1, d2):
         inst = luders_instrument(_reference_scheme(d1, d2))
-        defect = inst.trace_preservation_defect()
+        defect = gram_defect(inst.kraus.reshape(-1, inst.dim))
         assert defect < 1e-13
         assert abs(defect - _loop_trace_preservation_defect(inst)) < 1e-14
 
@@ -580,7 +604,8 @@ class TestStackedOperators:
         pointer = POVM(2, ("0", "1"), (np.diag([-eps, 0.5]), np.diag([1 + eps, 0.5])))
         s = MeasurementScheme(2, 2, random_state(2, 1), haar_unitary(4, 2), pointer)
         assert np.linalg.eigvalsh(pointer.effects[0]).min() == -eps
-        assert luders_instrument(s).trace_preservation_defect() <= 2 * eps
+        inst = luders_instrument(s)
+        assert gram_defect(inst.kraus.reshape(-1, inst.dim)) <= 2 * eps
 
     def test_effect_eigenvalue_below_minus_tol_is_refused(self):
         pointer = POVM(2, ("0", "1"), (np.diag([-1e-8, 0.5]), np.diag([1 + 1e-8, 0.5])))

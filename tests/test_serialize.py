@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -162,6 +164,21 @@ class TestCanonicalJson:
 
 
 class TestWriteAtomic:
+    def test_mode_follows_umask_and_target(self, tmp_path):
+        # A new file gets 0o666 less the umask, as open() gives it; an
+        # existing target keeps its own mode.
+        fresh, kept = tmp_path / "new.json", tmp_path / "kept.json"
+        previous = os.umask(0o022)
+        try:
+            os.close(os.open(kept, os.O_WRONLY | os.O_CREAT, 0o640))
+            write_atomic(str(fresh), "x\n")
+            write_atomic(str(kept), "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text() == "x\n"
+
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "out.json"
         write_atomic(str(target), "first\n")
