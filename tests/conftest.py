@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 
 import numpy as np
@@ -43,3 +44,24 @@ def unitarity_checks(monkeypatch):
         if name.startswith("entkit") and getattr(module, "unitarity_defect", None) is defect:
             monkeypatch.setattr(module, "unitarity_defect", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def pooled_report():
+    """canonical_json of verify.run_all(seed) in two forked workers, as a
+    function of the seed. Each seed's report is built once per session; no
+    worker is left afterwards."""
+    from entkit import verify
+    from entkit.serialize import canonical_json
+
+    reports = {}
+
+    def report(seed: int) -> str:
+        if seed not in reports:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "_available_cpus", lambda: 2)
+                reports[seed] = canonical_json(verify.run_all(seed))
+            assert multiprocessing.active_children() == []
+        return reports[seed]
+
+    return report

@@ -1,7 +1,7 @@
 """Acceptance gate: each criterion runs at its stated tolerance and prints one
 pass/fail line. The heavy corpus runs once per session through the module
-fixture; the determinism criterion performs an independent second full run
-through the CLI and compares report bytes.
+fixture; the determinism criterion compares the report bytes of a second
+full run through the CLI with the session's pooled run_all report.
 """
 
 import time
@@ -11,7 +11,6 @@ import pytest
 from entkit import verify
 from entkit.cli import main as cli_main
 from entkit.linalg import DEFAULT_SEED, DEFAULT_TOL
-from entkit.serialize import canonical_json
 
 _timings: dict[str, float] = {}
 
@@ -155,8 +154,8 @@ def test_criterion_8_local_generator_null(report):
     )
 
 
-def test_criterion_9_verify_determinism(tmp_path, capsys):
-    first = canonical_json(verify.run_all(DEFAULT_SEED, DEFAULT_TOL))
+def test_criterion_9_verify_determinism(tmp_path, capsys, pooled_report):
+    first = pooled_report(DEFAULT_SEED)
     out = tmp_path / "verify.json"
     code = cli_main(["verify", "--seed", str(DEFAULT_SEED), "--out", str(out)])
     second = out.read_text()

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -604,6 +605,28 @@ def test_readme_lists_profile_csv_columns():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     columns = re.search(r"CSV columns `([^`]*)`", readme).group(1)
     assert re.split(r",\s+", columns) == profile_csv([]).splitlines()[0].split(",")
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys, pooled_report):
+    """Each `entkit` line of README's sh blocks exits 0 through main, in one
+    working directory, and its output (the --out file, else stdout) carries
+    every verdict or form its comment quotes; `verify` writes the pooled
+    run_all report of its seed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("entkit")]
+    assert lines, "README holds no entkit command"
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        capsys.readouterr()
+        assert run_cli(argv) == 0, (line, capsys.readouterr().err)
+        args = build_parser().parse_args(argv)
+        out = Path(args.out).read_text() if args.out else capsys.readouterr().out
+        for quoted in re.findall(r'"[^"]*"', line.partition("#")[2]):
+            assert quoted in out, (line, quoted)
+        if args.command == "verify":
+            assert out == pooled_report(args.seed), line
 
 
 @pytest.mark.parametrize("cls", EXIT_CODES)

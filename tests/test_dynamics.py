@@ -307,6 +307,13 @@ class TestEntanglementProfile:
         h = tensor_product(random_hermitian(2, 106), np.eye(2))
         local = entanglement_profile(path_from_generator(h, 2, 2), E2[0], n_steps=4, seed=1, n_inputs=2)
         assert not local.interior_entangling
+        # A product endpoint's principal-branch geodesic need not have a local
+        # generator: for this seed it entangles inside the path (for 0xB05C
+        # and 7 it does not).
+        u, _, _ = haar_product(2, 2, split_seed(12345, "endpoint"))
+        assert classify_unitary(u, 2, 2).verdict == "product"
+        product = entanglement_profile(geodesic_path(u, 2, 2), E2[0], n_steps=16, seed=12345, n_inputs=8)
+        assert product.interior_entangling
 
     def test_local_generator_endpoint_factorizes(self):
         a = random_hermitian(2, 104, scale=1.0)

@@ -92,8 +92,8 @@ class TestRunAllWorkers:
     """run_all's forked workers give the report of an in-process run."""
 
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 12345])
-    def test_report_bytes_match_in_process_run(self, monkeypatch, seed):
-        assert _run_all_on(monkeypatch, 2, seed) == _run_all_on(monkeypatch, 1, seed)
+    def test_report_bytes_match_in_process_run(self, monkeypatch, pooled_report, seed):
+        assert pooled_report(seed) == _run_all_on(monkeypatch, 1, seed)
 
     def test_raising_suite_fails_alike_on_both_paths(self, monkeypatch):
         def suite_broken(seed, tol):
