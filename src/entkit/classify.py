@@ -37,7 +37,9 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
+    defect_bound,
     frobenius,
+    gamma,
     gram_defect,
     probe_grid,
     probe_states,
@@ -54,8 +56,6 @@ WITNESS_SAMPLES = 64
 
 # Most probe candidates whose images one batch of the witness engine holds.
 _BATCH_CAP = 1024
-
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,17 @@ def _rank_one_fit(
     vec(V) is a from _power_step and vec(W) = a^† R; a zero step fails.
     For unit a the residual squared is ||R||² - ||vec(W)||², both sums at
     hand, so a fit stops before the D² outer product once that difference
-    exceeds margin² by more than its rounding, 4(d1² + d2²)·eps·||R||²:
-    then the residual is provably above margin. The difference cancels to
-    ~1e-6 on a d = 32 product, whose residual is ~2e-14, so a fit that gets
-    through reports the norm of the difference itself. Both factors get the
-    Frobenius norm of a unitary; the caller fixes the phase.
+    exceeds margin² by more than its rounding, γ_{5·d1² + 2·d2² + 3}·||R||²:
+    then the exact residual of the computed a and w is provably above
+    margin. By gamma's rules, in units of ||R||²: ||R||² is a sum of
+    d1² + d2² stage lengths and ||w||² of d2² (the norm rule), w is off
+    a^†R by γ_{d1²}·||a||·||R|| (the gemm rule), which enters twice, a's
+    norm is 1 within γ_{d1² + 1} (the norm rule and the division), which
+    enters twice through ||a||², and the subtraction rounds once. The
+    difference cancels to ~1e-6 on a d = 32 product, whose residual is
+    ~2e-14, so a fit that gets through reports the norm of the difference
+    itself. Both factors get the Frobenius norm of a unitary; the caller
+    fixes the phase.
     """
     step = _power_step(r)
     if step is None:
@@ -199,7 +205,7 @@ def _rank_one_fit(
     a, col_sq = step
     w = a.conj() @ r
     total = col_sq.sum()
-    if total - np.vdot(w, w).real > margin**2 + 4 * (d1 * d1 + d2 * d2) * _EPS * total:
+    if total - np.vdot(w, w).real > margin**2 + gamma(5 * d1 * d1 + 2 * d2 * d2 + 3) * total:
         return None
     residual = frobenius(r - a[:, None] * w[None, :])
     if not residual <= margin:
@@ -247,19 +253,18 @@ def _unitarity_bound(form: Product | SwapForm) -> float:
     (x ⊗ y)^†(x ⊗ y) - I = a ⊗ I + I ⊗ b + a ⊗ b and ||x ⊗ y||_2² <=
     (1 + ||a||)(1 + ||b||), so U^†U - I is within
     sqrt(d_y)||a|| + sqrt(d_x)||b|| + ||a|| ||b|| + 2 sqrt((1 + ||a||)(1 + ||b||)) r + r².
-    It holds for (x ⊗ y)·SWAP as well, SWAP being unitary. Rounding slack:
-    ||a|| is raised by 4·d_x·eps·||x||², above the error of forming x^†x, and
-    r by 16·eps·(||x|| ||y|| + r), which covers the few roundings per entry
-    that the fit's alpha rescale and _fix_phase put between the factors and
-    the product whose residual the fit measured.
+    It holds for (x ⊗ y)·SWAP as well, SWAP being unitary. Rounding, by
+    gamma's rules: ||a|| and ||b|| are linalg.defect_bound of the computed
+    defects. r, a norm over D² entries, is raised by the norm rule's
+    relative γ_{D²}, and by γ_16·(||x|| ||y|| + r) for the few roundings per
+    entry (the per-entry rule) that forming the fit's residual, its alpha
+    rescale and _fix_phase put between the factors and the product whose
+    residual the fit measured.
     """
     x, y = (form.v, form.w) if isinstance(form, Product) else (form.v21, form.w12)
-    a, b = gram_defect(x), gram_defect(y)
-    nx2, ny2 = np.vdot(x, x).real, np.vdot(y, y).real
-    dx, dy = len(x), len(y)
-    a += 4 * dx * _EPS * nx2
-    b += 4 * dy * _EPS * ny2
-    r = form.residual + 16 * _EPS * (math.sqrt(nx2 * ny2) + form.residual)
+    a, b = (defect_bound(f, gram_defect(f)) for f in (x, y))
+    dx, dy, xy = len(x), len(y), math.sqrt(np.vdot(x, x).real * np.vdot(y, y).real)
+    r = form.residual * (1 + gamma((dx * dy) ** 2)) + gamma(16) * (xy + form.residual)
     product_defect = math.sqrt(dy) * a + math.sqrt(dx) * b + a * b
     return product_defect + 2 * math.sqrt((1 + a) * (1 + b)) * r + r * r
 
@@ -322,12 +327,15 @@ def _row_certified(b: np.ndarray, x: np.ndarray, d1: int, d2: int, margin: float
     normalized) fixes both of _slice_forms. Each prediction P maps y to a
     product, so by Weyl's inequality, as in classify_unitary's exclusivity
     argument, sigma_2(B y) <= ||B - P||_2 for unit y. The row is certified
-    when the smaller residual r plus the slack (D·(d2 + 1) + 16)·eps·||B||_F
-    is <= margin. The slack covers the rounding of the computed images (two
-    nonzero products per entry: 4·eps·||B||_F), of the candidate SVD
-    (backward error p·eps·||B y||, LAPACK's p(d1, d2) taken as D), and of
-    the computed residual (forming B - P: 8·eps·||B||_F; the norm's
-    relative error, at most D·d2·eps, on r <= ||B||_F). The Frobenius norm
+    when the smaller residual r plus the slack γ_{D·(d2 + 1) + 6}·||B||_F is
+    <= margin. By linalg.gamma's rules, in units of ||B||_F: the search
+    computes each image B y from this b, two nonzero products per entry
+    (the gemm rule, γ_2); the candidate SVD has backward error γ_D·||B y||
+    (LAPACK's p(d1, d2) taken as D); forming B - P rounds each entry of the
+    product P once and of the difference once (the per-entry rule:
+    γ_3·||P|| + γ_1·||B||, and ||P|| <= ||B||, P being a projection of B);
+    the norm of r <= ||B||_F carries the norm rule's γ_{D·d2}, which the
+    spectral norm's SVD stays within. The Frobenius norm
     bounds the spectral one and is tried first; the SVD for ||.||_2 runs
     only where ||.||_F / sqrt(d2) could still pass. A slack >= margin
     certifies nothing, so at margin 0 every row is searched.
@@ -343,8 +351,7 @@ def _row_certified(b: np.ndarray, x: np.ndarray, d1: int, d2: int, margin: float
     """
     if d2 <= 3:
         return False
-    dim = d1 * d2
-    room = margin - (dim * (d2 + 1) + 16) * _EPS * frobenius(b)
+    room = margin - gamma(d1 * d2 * (d2 + 1) + 6) * frobenius(b)
     if not room > 0:
         return False
     step = _power_step(x)
@@ -354,9 +361,7 @@ def _row_certified(b: np.ndarray, x: np.ndarray, d1: int, d2: int, margin: float
     c2 = c.conj() @ x
     for _, residual in _slice_forms(b, d1, d2, c, c2 / np.linalg.norm(c2)):
         frob = frobenius(residual)
-        if frob <= room:
-            return True
-        if frob <= room * math.sqrt(d2) and np.linalg.norm(residual, 2) <= room:
+        if frob <= room or frob <= room * math.sqrt(d2) and np.linalg.norm(residual, 2) <= room:
             return True
     return False
 
@@ -494,9 +499,9 @@ def classify_unitary(
     every dimension: with B = U(a ⊗ ·) and P the nearer of its two product
     forms, read off the top singular pair of image 0 (tested first, alone),
     every image U(a ⊗ y) of a unit y is within r = ||B - P||_2 of a
-    product. A row whose r plus the rounding slack
-    (D·(d2 + 1) + 16)·eps·||B||_F (computed images, candidate SVDs, the
-    computed norm) is <= m holds no witness and is skipped, which leaves
+    product. A row whose r plus the rounding slack γ_{D·(d2 + 1) + 6}·||B||_F
+    (computed images, candidate SVDs, the computed norm; linalg.gamma's
+    rules) is <= m holds no witness and is skipped, which leaves
     the hit, its input and its coefficient as they were (_row_certified).
     At m = 0, or any m the slack reaches, no row is skipped, nor is any row
     of at most 6 candidates (d2 <= 3), which costs less to search than to
@@ -508,9 +513,10 @@ def classify_unitary(
     b = W^†W - I and r the residual,
     ||U^†U - I||_F <= sqrt(d2)||a|| + sqrt(d1)||b|| + ||a|| ||b||
     + 2 sqrt((1 + ||a||)(1 + ||b||)) r + r², which the swap form meets too.
-    The bound adds rounding slack for forming V^†V and W^†W and for the few
-    roundings per entry that the fit's rescale by alpha and _fix_phase put
-    between the returned factors and the product whose residual was measured.
+    The bound adds the rounding slack of linalg.gamma's rules for forming
+    V^†V and W^†W, for the residual's norm, and for the few roundings per
+    entry that the fit's rescale by alpha and _fix_phase put between the
+    returned factors and the product whose residual was measured.
     A bound within tol.eps returns the form with no D x D work. Otherwise,
     and always before the witness search, U^†U is checked in full:
     NonUnitaryError when its defect exceeds tol.eps.

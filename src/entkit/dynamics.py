@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .bipartite import BipartiteSpace, _entropy_bits, schmidt_coefficients
-from .classify import _EPS, _classify, witness_margin
+from .classify import _classify, witness_margin
 from .errors import DimensionError, NonUnitaryError
 from .linalg import (
     DEFAULT_SEED,
@@ -24,7 +24,9 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
+    defect_bound,
     frobenius,
+    gamma,
     probe_states,
     require_unit,
     rng_from_seed,
@@ -153,11 +155,13 @@ def _grid_images(p: UnitaryPath, vecs: np.ndarray, n_steps: int) -> Iterator[np.
     rather than n_steps times, and a busy machine delays it less often. Each
     image is the row a per-point gemm would form.
 
-    Rounding: each of the two products sums D terms, so it is off by at most
-    γ_D = Dε/(1 - Dε) of the sum of the terms' moduli. With ||V||_F² <=
-    D(1 + δ), δ the defect that entanglement_profile bounds, an image is
-    within about 2·D^{3/2}·ε of V e^{itw} V^† x in norm (1.5e-11 at d = 32),
-    as U_t x is when U_t comes from path_point.
+    Rounding, by linalg.gamma's rules: each of the two products has inner
+    dimension D (the gemm rule, γ_D), and each phase e^{itw} is within
+    γ_2·(1 + max|w|) of exact and then multiplies a coordinate once (the
+    per-entry rule). With ||V||_2² <= 1 + δ and ||V||_F² <= D(1 + δ), δ the
+    defect that entanglement_profile bounds, an image of a unit x is within
+    (2·γ_D·√D + γ_4·(1 + max|w|))·(1 + δ) of V e^{itw} V^† x in norm
+    (1.5e-11 at d = 32), as U_t x is when U_t comes from path_point.
     """
     yield vecs
     coords = vecs @ p.vectors.conj()
@@ -190,10 +194,9 @@ def _nonlocal_bound(p: UnitaryPath, delta: float) -> float:
         h.flat[:: dim + 1] += mean
         nonlocal_norm = frobenius(h)
     w_max = float(np.abs(w).max())
-    d_bar = delta + (dim + 4) * dim * _EPS * (1 + delta)
-    rho = w_max * (1 + d_bar)
-    rounding = ((dim + 4) * dim + (dim + d1 + d2 + 16) * math.sqrt(dim)) * _EPS * rho
-    return nonlocal_norm * (1 + dim * dim * _EPS) + (w_max + 1) * d_bar * (2 + d_bar) + rounding
+    d_bar = defect_bound(v, delta)
+    rounding = (gamma(dim + 1) * dim + gamma(dim + d1 + d2 + 15) * math.sqrt(dim)) * w_max * (1 + d_bar)
+    return nonlocal_norm * (1 + gamma(dim * dim)) + (w_max + 1) * d_bar * (2 + d_bar) + rounding
 
 
 def entanglement_profile(
@@ -244,20 +247,22 @@ def entanglement_profile(
       e^{isX} i(X - Y) e^{i(t-s)Y}, so ||e^{itX} - e^{itY}||_F <=
       t·||X - Y||_F for Hermitian X, Y, and t <= 1.
     Hence ||U_t - e^{itA} ⊗ e^{itB}||_F <= ||H - P(H)||_F
-    + (max|w| + 1)·δ(2 + δ) for every t in [0, 1]. r adds the rounding,
-    in units of ε = 2^-52 (twice the unit roundoff, which covers complex
-    arithmetic's constants): the computed δ is raised by (D + 4)·D·ε·(1 + δ)
-    for the D-term sums of V^†V, the gemm forming H is off by at most
-    (D + 4)·D·ε·ρ in Frobenius norm (ρ = max|w|(1 + δ), ||V||_F² <= D(1 + δ)),
-    the partial traces and the in-place subtractions by
-    (D + d1 + d2 + 16)·√D·ε·ρ (each of P's three terms has Frobenius norm
-    <= ||H||_F <= √D·ρ), and the computed norm is raised by its relative
-    error D²·ε. When r < m (never at m = 0), that point and every later one
-    whose inputs witness nothing is "product", t = 1 included, with no
-    path_point and no fit. _classify's power-step fit of U_t reaches the
-    nearest product's distance up to a term of order r²/√D, so a certified
-    verdict can differ from _classify(path_point(p, t), ...) only where a
-    fit residual lies within rounding (and that term) of m.
+    + (max|w| + 1)·δ(2 + δ) for every t in [0, 1]. r adds the rounding, by
+    linalg.gamma's rules: δ is raised to linalg.defect_bound of V; the
+    scaling V·diag(w) and the gemm forming H are off by at most
+    γ_{D + 1}·D·ρ (the per-entry and gemm rules, ρ = max|w|(1 + δ) >=
+    ||H||_2, ||V||_F² <= D(1 + δ)); the partial traces, sums of d2, d1
+    and D terms and a division each, and the three in-place subtractions
+    by (γ_{d2 + 1} + γ_{d1 + 1} + γ_{D + 1} + 4·γ_3)·||H||_F (each of P's
+    three terms has Frobenius norm <= ||H||_F <= √D·ρ), which is
+    γ_{D + d1 + d2 + 15}·√D·ρ; and the computed norm, over D² entries, is
+    raised by the norm rule's γ_{D²}. When r < m (never at m = 0), that
+    point and every later one whose inputs witness nothing is "product",
+    t = 1 included, with no path_point and no fit. _classify's power-step
+    fit of U_t reaches the nearest product's distance up to a term of order
+    r²/√D, so a certified verdict can differ from
+    _classify(path_point(p, t), ...) only where a fit residual lies within
+    rounding (and that term) of m.
 
     The other points whose inputs witness nothing (every point, when d1 or
     d2 is 1 and no input can witness) form path_point(p, t), and _classify

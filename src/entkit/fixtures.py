@@ -51,13 +51,9 @@ def random_diagonal_coupling(d1: int, d2: int, seed: int) -> np.ndarray:
     return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d1 * d2)))
 
 
-def projective_povm(d: int, seed: int | None = None) -> POVM:
-    """Rank-1 projective POVM; onto the standard basis when seed is None."""
-    if seed is None:
-        basis = np.eye(d, dtype=np.complex128)
-    else:
-        basis = haar_unitary(d, seed)
-    effects = tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(d))
+def projective_povm(d: int) -> POVM:
+    """Rank-1 projective POVM onto the standard basis."""
+    effects = tuple(np.diag(e) for e in np.eye(d, dtype=np.complex128))
     return POVM(d, tuple(str(k) for k in range(d)), effects)
 
 

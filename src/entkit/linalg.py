@@ -38,6 +38,31 @@ _MAX_PRODUCT_ENTRIES = 1 << 26
 # are held.
 _GRAM_PANEL = 128
 
+# The unit of float64 rounding, ε = 2^-52; gamma() states the model.
+EPS = float(np.finfo(np.float64).eps)
+
+
+def gamma(n: int) -> float:
+    """Higham's γ_n = nε/(1 - nε) (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3), in units of ε = EPS = 2^-52: the one
+    rounding model that every certificate's slack is stated in.
+
+    ε is twice Higham's unit roundoff u, so γ_n here is his γ_{2n}, which
+    absorbs complex arithmetic's constants: a complex product is within
+    √2·γ_2(u) of exact, a complex sum within u (his Lemma 3.5). The rules,
+    with ||.|| the Frobenius norm:
+    - per entry: a value that passes through c roundings is within a
+      relative γ_c of exact, and γ_a + γ_b + γ_a·γ_b <= γ_{a+b} (Lemma
+      3.3), so the slacks of successive steps add by adding their n;
+    - gemm: a complex inner product of k >= 2 terms, in any summation
+      order, is within γ_k·Σ|a_j||b_j| (Higham's γ_{k+2}(u)), so a gemm of
+      inner dimension k has ||fl(AB) - AB|| <= γ_k·||A||·||B||;
+    - norm: a norm, or a sum of squared moduli, over n complex entries is
+      within a relative γ_n of the exact one, either way round (a sum taken
+      in stages counts the total of its stage lengths as n).
+    README's "Rounding" paragraph states the same model."""
+    return n * EPS / (1 - n * EPS)
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -122,14 +147,10 @@ def unitarity_defect(u: np.ndarray) -> float:
     about 2·U for the dense product. At D <= _GRAM_PANEL it is the single
     product U^†U.
 
-    Rounding: a computed entry of P_i^†P_j, a D-term inner product of columns
-    a and b, is within γ_D·||u_a||·||u_b|| of the exact one
-    (γ_D = D·eps/(1 - D·eps)). The computed upper blocks with their conjugate
-    transposes below are therefore G + E for an E with
-    ||E||_F <= γ_D·||U||_F², the bound the dense product meets too; the
-    defect is within that (plus the relative rounding of the sums of
-    squares, below D²·eps) of the exact ||G||_F, and within twice it of the
-    dense computation. For a unitary U, ||U||_F² = D.
+    Rounding, by gamma's rules: the computed upper blocks with their
+    conjugate transposes below are G + E with ||E||_F <= γ_D·||U||_F² (the
+    gemm rule, as for the dense product), and the defect is the norm of D²
+    entries (the norm rule); defect_bound raises a computed defect by both.
     """
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
@@ -145,6 +166,16 @@ def gram_defect(z: np.ndarray) -> float:
     n = z.shape[1]
     starts = range(0, n, _GRAM_PANEL)
     return math.sqrt(sum(_panel_row_sq(z, i, min(i + _GRAM_PANEL, n)) for i in starts))
+
+
+def defect_bound(z: np.ndarray, defect: float) -> float:
+    """An upper bound on the exact ||Z^†Z - I||_F of an (m, n) Z from
+    gram_defect's computed ``defect``, by gamma's rules: the norm rule's
+    relative γ_{n²}, and one rounding more for the subtracted identity,
+    plus the gemm rule's γ_m·||Z||_F², with ||Z||_F² as computed raised by
+    its own norm rule."""
+    m, n = z.shape
+    return defect * (1 + gamma(n * n + 1)) + gamma(m) * (1 + gamma(m * n)) * np.vdot(z, z).real
 
 
 def _panel_row_sq(z: np.ndarray, i: int, j: int) -> float:

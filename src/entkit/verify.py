@@ -46,6 +46,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     frobenius,
+    gamma,
     haar_unitary,
     random_hermitian,
     random_state,
@@ -173,21 +174,27 @@ def classifier_corpus(seed: int) -> list[tuple[str, int, int, np.ndarray]]:
 
 def oracle_non_entangling(u: np.ndarray, d1: int, d2: int, tol: Tolerance) -> bool:
     """The reference verdict for classify_unitary, with no search and no fit:
-    v <= θ = 2m²/D + (m²/D)² + 8·D·ε, m = 10 * tol.eps, D = d1·d2, where v is
-    the operator entanglement E(U), or min(E(U), E(U·SWAP)) when d1 == d2.
+    v <= θ = 2m²/D + (m²/D)² + γ_{4k + g² + 2g + 3}, m = 10 * tol.eps,
+    D = d1·d2, k = max(d1, d2)², g = min(d1, d2)², where v is the operator
+    entanglement E(U), or min(E(U), E(U·SWAP)) when d1 == d2.
 
     realign is an isometry, so a unitary within residual r <= m of V ⊗ W has
     R(U) within r of rank one: a tail t <= r² of n = ||U||_F² = D past the first
     singular value, E <= 1 - (1 - t/n)² <= 2r²/D - r⁴/D² (swaps alike), and the
-    square term lets n fall to D / (1 + m²/D). For rank-one R, |R|^†|R| = |G|:
-    each Gram entry, a sum of k = max(d1, d2)² products, rounds to ~kε relative
-    and E to ~4kε, within 8·D·ε while k <= 2D, as for every corpus pair.
+    square term lets n fall to D / (1 + m²/D). The last term bounds the
+    rounding of E = 1 - ||G||²/n² by linalg.gamma's rules, for any U: the
+    g x g Gram matrix G has inner dimension k, so it is off by γ_k·n (the
+    gemm rule) and ||G||² (<= n²) by 2·γ_k·n² before the norm rule's
+    relative γ_{g²}; n = tr G, g diagonal entries each within a relative
+    γ_k, carries γ_{k + g} (the norm rule), twice in n²; n², the ratio and
+    1 - ratio round once each (U·SWAP permutes U's columns exactly).
     """
     q = witness_margin(tol) ** 2 / (d1 * d2)
     value = operator_entanglement(u, d1, d2)
     if d1 == d2:
         value = min(value, operator_entanglement(u @ swap_unitary(d1), d1, d2))
-    return value <= 2 * q + q * q + 8 * d1 * d2 * np.finfo(np.float64).eps
+    k, g = max(d1, d2) ** 2, min(d1, d2) ** 2
+    return value <= 2 * q + q * q + gamma(4 * k + g * g + 2 * g + 3)
 
 
 def suite_classifier_oracle(

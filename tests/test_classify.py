@@ -41,6 +41,7 @@ from entkit.linalg import (
     DEFAULT_TOL,
     Tolerance,
     exp_i_hermitian,
+    gamma,
     haar_unitary,
     probe_grid,
     probe_states,
@@ -818,10 +819,12 @@ class TestSliceCertificate:
         assert abs(form.residual - 8.485e-4) < 1e-7
 
 
-def _oracle_threshold(dim, tol=DEFAULT_TOL):
-    """θ of verify.oracle_non_entangling, restated: 2m²/D + (m²/D)² + 8·D·ε."""
-    q = (10 * tol.eps) ** 2 / dim
-    return 2 * q + q * q + 8 * dim * np.finfo(float).eps
+def _oracle_threshold(d1, d2, tol=DEFAULT_TOL):
+    """θ of verify.oracle_non_entangling, restated: 2m²/D + (m²/D)² + γ_{4k + g² + 2g + 3}
+    with k = max(d1, d2)² and g = min(d1, d2)²."""
+    q = (10 * tol.eps) ** 2 / (d1 * d2)
+    k, g = max(d1, d2) ** 2, min(d1, d2) ** 2
+    return 2 * q + q * q + gamma(4 * k + g * g + 2 * g + 3)
 
 
 def _sampled_images_are_product(u, d1, d2, n_samples, seed):
@@ -851,7 +854,7 @@ class TestBruteForce:
 class TestOperatorEntanglement:
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (4, 4), (2, 3), (4, 2)])
     def test_identity_and_products_within_threshold(self, d1, d2):
-        theta = _oracle_threshold(d1 * d2)
+        theta = _oracle_threshold(d1, d2)
         assert operator_entanglement(np.eye(d1 * d2), d1, d2) <= theta
         for seed in range(5):
             u, _, _ = haar_product(d1, d2, seed)
